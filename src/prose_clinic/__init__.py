@@ -4,7 +4,7 @@ the maladies behind them."""
 __version__ = "0.1.0"
 
 from .config import AnalysisConfig, ConfigError, load_config, parse_config_text
-from .detectors import RULE_IDS, RULES, Diagnostic, Severity, run_all
+from .detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Rule, Severity, run_all
 from .document import (
     Document,
     DocumentStructureError,
@@ -14,9 +14,6 @@ from .document import (
     Sentence,
     Span,
     Token,
-    count_words,
-    estimate_pages,
-    extract_footnotes,
     parse_document,
     segment_sentences,
     tokenize,
@@ -41,12 +38,10 @@ from .maladies import (
 from .reporting import (
     MaladySummary,
     Report,
-    TreatmentHint,
     build_report,
     parse_machine,
     render_human,
     render_machine,
-    treatment_for,
 )
 
 __all__ = [
@@ -67,19 +62,17 @@ __all__ = [
     "MaladySummary",
     "Paragraph",
     "Report",
+    "REGISTRY",
     "RULES",
     "RULE_IDS",
+    "Rule",
     "Section",
     "Sentence",
     "Severity",
     "Span",
     "Token",
-    "TreatmentHint",
     "build_report",
-    "count_words",
     "default_lexicon",
-    "estimate_pages",
-    "extract_footnotes",
     "extract_keywords",
     "infer_maladies",
     "load_config",
@@ -94,5 +87,4 @@ __all__ = [
     "segment_sentences",
     "stem",
     "tokenize",
-    "treatment_for",
 ]

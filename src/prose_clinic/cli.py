@@ -1,16 +1,18 @@
 """Command line entry point.
 
-Exit codes: 0 clean, 1 findings reported, 2 usage or input error.
+Exit codes: 0 clean, 1 findings reported, 2 usage or input error or output
+closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .config import AnalysisConfig, ConfigError, load_config
-from .detectors import RULE_IDS, run_all
+from .detectors import run_all, select_rules
 from .document import FORMATS, MARKDOWN, DocumentStructureError, parse_document
 from .lexicon import LexiconError, default_lexicon, load_lexicon_extensions
 from .maladies import extract_keywords, infer_maladies
@@ -67,21 +69,14 @@ def _assemble_config(args) -> AnalysisConfig:
     return cfg
 
 
-def _parse_rules(raw: str | None):
-    if raw is None:
-        return None
-    rules = tuple(part.strip() for part in raw.split(",") if part.strip())
-    unknown = sorted(set(rules) - set(RULE_IDS))
-    if unknown:
-        raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
-    return rules
-
-
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _assemble_config(args)
-        rules = _parse_rules(args.rules)
+        rules = None
+        if args.rules is not None:
+            rules = select_rules(part.strip() for part in args.rules.split(",")
+                                 if part.strip())
         lexicon = default_lexicon()
         if args.lexicon:
             lexicon = load_lexicon_extensions(args.lexicon, lexicon)
@@ -89,30 +84,43 @@ def run(argv=None) -> int:
         print(f"clinic: {exc}", file=sys.stderr)
         return 2
 
+    failed = False
     found_anything = False
-    for path in args.paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError as exc:
-            print(f"clinic: {path}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-        try:
-            doc = parse_document(source, args.format, lexicon=lexicon,
-                                 words_per_page=cfg.words_per_page)
-        except DocumentStructureError as exc:
-            print(f"clinic: {path}: {exc}", file=sys.stderr)
-            return 2
-        diagnostics = run_all(doc, cfg, lexicon, rules=rules)
-        profile = extract_keywords(doc, cfg, lexicon)
-        findings = infer_maladies(doc, diagnostics, cfg, profile, lexicon)
-        report = build_report(path, cfg, diagnostics, findings)
-        if args.output == "machine":
-            sys.stdout.write(render_machine(report))
-        else:
-            sys.stdout.write(render_human(report))
-        if diagnostics or findings:
-            found_anything = True
+    try:
+        for path in args.paths:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    source = fh.read()
+                doc = parse_document(source, args.format, lexicon=lexicon,
+                                     words_per_page=cfg.words_per_page)
+            except OSError as exc:
+                print(f"clinic: {path}: {exc.strerror or exc}", file=sys.stderr)
+                failed = True
+                continue
+            except (UnicodeDecodeError, DocumentStructureError) as exc:
+                print(f"clinic: {path}: {exc}", file=sys.stderr)
+                failed = True
+                continue
+            diagnostics = run_all(doc, cfg, lexicon, rules=rules)
+            profile = extract_keywords(doc, cfg, lexicon)
+            findings = infer_maladies(doc, diagnostics, cfg, profile, lexicon)
+            report = build_report(path, cfg, diagnostics, findings)
+            if args.output == "machine":
+                sys.stdout.write(render_machine(report))
+            else:
+                sys.stdout.write(render_human(report))
+            if diagnostics or findings:
+                found_anything = True
+        # Flush inside the try, so that a reader that went away is seen here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The idiom of the Python signal docs: Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush from failing too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
+    if failed:
+        return 2
     return 1 if found_anything else 0
 
 

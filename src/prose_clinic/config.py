@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -30,8 +31,9 @@ class AnalysisConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{f.name} must be positive, got {value!r}")
+            # The chained comparison is false for NaN as well.
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(AnalysisConfig)}

@@ -1,21 +1,9 @@
 """Symptom detectors.
 
 Each rule is a pure function of (Document, AnalysisConfig, Lexicon) returning
-located diagnostics:
-
-=====  ========================================================
-S101   sentence longer than the word guideline
-S102   be-form plus nominalizations hiding the action
-S103   subject-verb core interrupted or delayed
-S201   sentence with no explicit link to its predecessor
-S301   paragraph with too many sentences
-S302   paragraph that opens on a numeric detail
-S401   paragraph openers that drop every key term
-S501   document longer than the configured page norm
-S601   more footnotes than the fair count for the page estimate
-S701   an intensity word family used more than once per page
-S702   superlative density above the accepted rate
-=====  ========================================================
+located diagnostics. REGISTRY at the end of the module holds one Rule record
+per rule; the rule table, the severities and the treatment pointers are all
+read from it.
 """
 
 from __future__ import annotations
@@ -23,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .config import AnalysisConfig
 from .document import (
@@ -33,7 +22,6 @@ from .document import (
     Sentence,
     Span,
     Token,
-    estimate_pages,
 )
 from .lexicon import ConnectorClass, Lexicon, default_lexicon, stem
 
@@ -46,12 +34,15 @@ class Severity(enum.Enum):
 @dataclass(frozen=True)
 class Diagnostic:
     rule_id: str
-    severity: Severity
     span: Span
     measured: int | float
     threshold: int | float
     message: str
     evidence: tuple[Span, ...] = ()
+
+    @property
+    def severity(self) -> Severity:
+        return REGISTRY[self.rule_id].severity
 
 
 def _words(tokens) -> list[Token]:
@@ -63,12 +54,27 @@ def _countable(tokens) -> list[Token]:
     return [t for t in tokens if t.kind in (WORD, NUMBER)]
 
 
-def _content_stems(sentence: Sentence, lexicon: Lexicon) -> set[str]:
-    return {
+def _content_stems(tokens, lexicon: Lexicon) -> list[str]:
+    """Stems of the content (non-stopword) words among tokens, in order."""
+    return [
         stem(t.text)
-        for t in sentence.tokens
+        for t in tokens
         if t.kind == WORD and not lexicon.is_stopword(t.text)
-    }
+    ]
+
+
+def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
+    """A connector among the first link_window_tokens words, or a
+    demonstrative anywhere in the sentence."""
+    window = _words(sentence.tokens)[: cfg.link_window_tokens]
+    if any(lexicon.connector_class(t.text) is not ConnectorClass.NONE for t in window):
+        return True
+    return any(t.kind == WORD and lexicon.is_demonstrative(t.text) for t in sentence.tokens)
+
+
+def _pages(doc: Document, cfg: AnalysisConfig) -> float:
+    """Real-valued page estimate at the configured prose density."""
+    return doc.total_words / cfg.words_per_page
 
 
 def _document_span(doc: Document) -> Span:
@@ -88,7 +94,7 @@ def detect_long_sentence(doc: Document, cfg: AnalysisConfig,
         n = sentence.word_count
         if n > cfg.max_sentence_words:
             out.append(Diagnostic(
-                "S101", Severity.WARNING, sentence.span, n, cfg.max_sentence_words,
+                "S101", sentence.span, n, cfg.max_sentence_words,
                 f"sentence has {n} words; the guideline is at most "
                 f"{cfg.max_sentence_words}",
             ))
@@ -121,7 +127,7 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig,
         if gerund:
             evidence.append(gerund)
         out.append(Diagnostic(
-            "S102", Severity.INFO, sentence.span, signals, 2,
+            "S102", sentence.span, signals, 2,
             "a form of 'to be' plus noun-made actions hides the verb; "
             "let the action be the verb",
             tuple(evidence),
@@ -167,7 +173,7 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig,
                 resumes = any(_countable(seg) for seg in segments[2:])
                 if len(insertion) >= cfg.min_insertion_words and resumes:
                     out.append(Diagnostic(
-                        "S103", Severity.INFO, sentence.span,
+                        "S103", sentence.span,
                         len(insertion), cfg.min_insertion_words,
                         f"subject-verb core interrupted by a "
                         f"{len(insertion)}-word insertion",
@@ -185,23 +191,13 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig,
                     break
             if lead_spans and total >= cfg.max_delay_words:
                 out.append(Diagnostic(
-                    "S103", Severity.INFO, sentence.span,
+                    "S103", sentence.span,
                     total, cfg.max_delay_words,
                     f"subject-verb core delayed by {total} words of "
                     f"leading clauses",
                     tuple(lead_spans),
                 ))
     return out
-
-
-def _is_linked(prev: Sentence, cur: Sentence, cfg: AnalysisConfig,
-               lexicon: Lexicon) -> bool:
-    window = _words(cur.tokens)[: cfg.link_window_tokens]
-    if any(lexicon.connector_class(t.text) is not ConnectorClass.NONE for t in window):
-        return True
-    if any(t.kind == WORD and lexicon.is_demonstrative(t.text) for t in cur.tokens):
-        return True
-    return bool(_content_stems(prev, lexicon) & _content_stems(cur, lexicon))
 
 
 def detect_missing_link(doc: Document, cfg: AnalysisConfig,
@@ -212,14 +208,24 @@ def detect_missing_link(doc: Document, cfg: AnalysisConfig,
     lexicon = lexicon or default_lexicon()
     out = []
     for paragraph in doc.iter_paragraphs():
+        # The previous sentence's stems are carried forward, so each sentence
+        # is stemmed at most once; None until a comparison needs them.
+        prev_stems = None
         for prev, cur in zip(paragraph.sentences, paragraph.sentences[1:]):
-            if not _is_linked(prev, cur, cfg, lexicon):
+            if _signals_link(cur, cfg, lexicon):
+                prev_stems = None
+                continue
+            if prev_stems is None:
+                prev_stems = set(_content_stems(prev.tokens, lexicon))
+            cur_stems = set(_content_stems(cur.tokens, lexicon))
+            if not prev_stems & cur_stems:
                 out.append(Diagnostic(
-                    "S201", Severity.WARNING, cur.span, 0, 1,
+                    "S201", cur.span, 0, 1,
                     "no explicit link to the previous sentence (no leading "
                     "connector, repeated key term, or demonstrative)",
                     (prev.span, cur.span),
                 ))
+            prev_stems = cur_stems
     return out
 
 
@@ -231,7 +237,7 @@ def detect_long_paragraph(doc: Document, cfg: AnalysisConfig,
         n = len(paragraph.sentences)
         if n > cfg.max_paragraph_sentences:
             out.append(Diagnostic(
-                "S301", Severity.WARNING, paragraph.span, n,
+                "S301", paragraph.span, n,
                 cfg.max_paragraph_sentences,
                 f"paragraph has {n} sentences; keep one point per paragraph "
                 f"(about {cfg.max_paragraph_sentences} sentences)",
@@ -253,13 +259,10 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig,
         numbers = [t for t in first.tokens if t.kind == NUMBER]
         if not numbers:
             continue
-        if any(t.kind == WORD and lexicon.is_demonstrative(t.text) for t in first.tokens):
-            continue
-        window = _words(first.tokens)[: cfg.link_window_tokens]
-        if any(lexicon.connector_class(t.text) is not ConnectorClass.NONE for t in window):
+        if _signals_link(first, cfg, lexicon):
             continue
         out.append(Diagnostic(
-            "S302", Severity.INFO, first.span, len(numbers), 0,
+            "S302", first.span, len(numbers), 0,
             "paragraph opens on numeric detail; open with the point the "
             "numbers support",
             tuple(t.span for t in numbers),
@@ -274,16 +277,15 @@ def detect_storyline_break(doc: Document, cfg: AnalysisConfig,
     lexicon = lexicon or default_lexicon()
     out = []
     for section in doc.sections:
-        paragraphs = section.paragraphs
-        for prev, cur in zip(paragraphs, paragraphs[1:]):
-            a = _content_stems(prev.first_sentence, lexicon)
-            b = _content_stems(cur.first_sentence, lexicon)
-            if not a & b:
+        openers = [p.first_sentence for p in section.paragraphs]
+        stems = [set(_content_stems(s.tokens, lexicon)) for s in openers]
+        for i in range(1, len(openers)):
+            if not stems[i - 1] & stems[i]:
                 out.append(Diagnostic(
-                    "S401", Severity.INFO, cur.first_sentence.span, 0, 1,
+                    "S401", openers[i].span, 0, 1,
                     "paragraph opener carries no key term over from the "
                     "previous opener",
-                    (prev.first_sentence.span, cur.first_sentence.span),
+                    (openers[i - 1].span, openers[i].span),
                 ))
     return out
 
@@ -293,11 +295,11 @@ def detect_overlong_document(doc: Document, cfg: AnalysisConfig,
     """S501: page estimate above max_pages. Dormant unless max_pages is set."""
     if cfg.max_pages is None:
         return []
-    pages = estimate_pages(doc, cfg.words_per_page)
+    pages = _pages(doc, cfg)
     if pages <= cfg.max_pages:
         return []
     return [Diagnostic(
-        "S501", Severity.INFO, _document_span(doc), pages, cfg.max_pages,
+        "S501", _document_span(doc), pages, cfg.max_pages,
         f"estimated {pages:.1f} pages exceeds the norm of {cfg.max_pages:g}; "
         f"cut chunks, not words",
     )]
@@ -310,12 +312,12 @@ def detect_footnote_overload(doc: Document, cfg: AnalysisConfig,
     count = len(doc.footnotes)
     if count == 0:
         return []
-    pages = estimate_pages(doc, cfg.words_per_page)
+    pages = _pages(doc, cfg)
     fair = math.floor(pages * cfg.footnote_ratio + 0.5)
     if count <= fair:
         return []
     return [Diagnostic(
-        "S601", Severity.WARNING, _document_span(doc), count, fair,
+        "S601", _document_span(doc), count, fair,
         f"{count} footnotes for an estimated {pages:.1f} pages; a fair count "
         f"is {fair}",
         tuple(n.marker_span for n in doc.footnotes),
@@ -327,7 +329,7 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig,
     """S701: an intensity word family (adjective and adverb pooled) used more
     often than intensity_per_page."""
     lexicon = lexicon or default_lexicon()
-    pages = estimate_pages(doc, cfg.words_per_page)
+    pages = _pages(doc, cfg)
     if pages <= 0:
         return []
     families: dict[str, list[Token]] = {}
@@ -339,7 +341,7 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig,
         rate = len(tokens) / pages
         if rate > cfg.intensity_per_page:
             out.append(Diagnostic(
-                "S701", Severity.INFO, tokens[0].span, rate, cfg.intensity_per_page,
+                "S701", tokens[0].span, rate, cfg.intensity_per_page,
                 f"'{family}' and kin appear {len(tokens)} times in an estimated "
                 f"{pages:.1f} pages; swapping in synonyms will not help",
                 tuple(t.span for t in tokens),
@@ -352,7 +354,7 @@ def detect_superlative_density(doc: Document, cfg: AnalysisConfig,
     """S702: superlatives (including "most <content word>") denser than
     superlative_per_page; praise standing in for argument."""
     lexicon = lexicon or default_lexicon()
-    pages = estimate_pages(doc, cfg.words_per_page)
+    pages = _pages(doc, cfg)
     if pages <= 0:
         return []
     spans: list[Span] = []
@@ -370,28 +372,93 @@ def detect_superlative_density(doc: Document, cfg: AnalysisConfig,
     if rate <= cfg.superlative_per_page:
         return []
     return [Diagnostic(
-        "S702", Severity.INFO, spans[0], rate, cfg.superlative_per_page,
+        "S702", spans[0], rate, cfg.superlative_per_page,
         f"{len(spans)} superlatives in an estimated {pages:.1f} pages reads "
         f"as rhetoric; answer the reader's logical questions instead",
         tuple(spans),
     )]
 
 
-RULES = {
-    "S101": detect_long_sentence,
-    "S102": detect_hidden_verb,
-    "S103": detect_broken_core,
-    "S201": detect_missing_link,
-    "S301": detect_long_paragraph,
-    "S302": detect_leading_detail,
-    "S401": detect_storyline_break,
-    "S501": detect_overlong_document,
-    "S601": detect_footnote_overload,
-    "S701": detect_intensity_overuse,
-    "S702": detect_superlative_density,
-}
+@dataclass(frozen=True)
+class Rule:
+    """Everything the program states about one rule."""
 
-RULE_IDS = tuple(RULES)
+    id: str
+    detector: Callable[..., list[Diagnostic]]
+    severity: Severity
+    summary: str  # what the rule flags, as in the README rules table
+    section: str  # writing-guide section where the treatment is developed
+    treatment: str
+
+
+REGISTRY = {rule.id: rule for rule in (
+    Rule("S101", detect_long_sentence, Severity.WARNING,
+         "sentence longer than `max_sentence_words` (25)", "§1.1",
+         "Distill the sentence: cut filler phrases to single words and keep "
+         "one thought per sentence."),
+    Rule("S102", detect_hidden_verb, Severity.INFO,
+         "a be-form plus noun-made actions instead of a strong verb", "§1.1",
+         "Let the action be the verb: turn the noun-made actions back into "
+         "verbs and retire the 'to be'."),
+    Rule("S103", detect_broken_core, Severity.INFO,
+         "subject-verb core interrupted by a long insertion, or delayed past "
+         "`max_delay_words` (12) of lead-in clauses", "§1.1",
+         "Reunite subject and verb: move insertions out of the core and trim "
+         "the lead-in clauses."),
+    Rule("S201", detect_missing_link, Severity.WARNING,
+         "sentence with no link to its predecessor: no leading connector, no "
+         "repeated key term, no demonstrative", "§1.2",
+         "Hand off between sentences: open with a connector, repeat the key "
+         "term, or point back with this/these."),
+    Rule("S301", detect_long_paragraph, Severity.WARNING,
+         "paragraph with more than `max_paragraph_sentences` (6) sentences",
+         "§1.3",
+         "Split the paragraph: one point per paragraph, stated in its first "
+         "sentence."),
+    Rule("S302", detect_leading_detail, Severity.INFO,
+         "paragraph of 4+ sentences that opens on numeric detail instead of "
+         "a point", "§2.2",
+         "Open with the point: state what the numbers mean before giving the "
+         "numbers."),
+    Rule("S401", detect_storyline_break, Severity.INFO,
+         "adjacent paragraph openers in a section that share no key term",
+         "§1.4",
+         "Carry the storyline: repeat a key term of the previous opener in "
+         "the next one."),
+    Rule("S501", detect_overlong_document, Severity.INFO,
+         "document longer than `max_pages` (off unless configured)", "§1.5",
+         "Shorten by cutting whole chunks: sections, paragraphs, sentences."),
+    Rule("S601", detect_footnote_overload, Severity.WARNING,
+         "more footnotes than about a third of the page estimate", "§1.6",
+         "Cut footnotes: fold the load-bearing ones into the text and drop "
+         "the rest."),
+    Rule("S701", detect_intensity_overuse, Severity.INFO,
+         "one intensity word family (important/importantly, ...) used more "
+         "than once per page", "§2.1",
+         "Rest the intensity words: if everything is important, nothing is."),
+    Rule("S702", detect_superlative_density, Severity.INFO,
+         "superlatives denser than `superlative_per_page` (3), praise "
+         "standing in for argument", "§2.4",
+         "Trade praise for evidence: show the result that makes the claim "
+         "and let readers grade it."),
+)}
+
+# run_all looks detectors up here at call time, so an entry can be swapped.
+RULES = {rule_id: rule.detector for rule_id, rule in REGISTRY.items()}
+
+RULE_IDS = tuple(REGISTRY)
+
+
+def select_rules(rule_ids=None) -> tuple[str, ...]:
+    """The given rule ids (all by default) in registry order; raises
+    ValueError naming any unknown id."""
+    if rule_ids is None:
+        return RULE_IDS
+    wanted = set(rule_ids)
+    unknown = wanted - set(RULE_IDS)
+    if unknown:
+        raise ValueError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
+    return tuple(r for r in RULE_IDS if r in wanted)
 
 
 def run_all(doc: Document, cfg: AnalysisConfig, lexicon: Lexicon | None = None,
@@ -399,16 +466,8 @@ def run_all(doc: Document, cfg: AnalysisConfig, lexicon: Lexicon | None = None,
     """Run the selected detectors (all by default) and return diagnostics
     sorted by span start, then rule id."""
     lexicon = lexicon or default_lexicon()
-    if rules is None:
-        selected = RULE_IDS
-    else:
-        wanted = set(rules)
-        unknown = wanted - set(RULE_IDS)
-        if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-        selected = tuple(r for r in RULE_IDS if r in wanted)
     diagnostics: list[Diagnostic] = []
-    for rule_id in selected:
+    for rule_id in select_rules(rules):
         diagnostics.extend(RULES[rule_id](doc, cfg, lexicon))
     diagnostics.sort(key=lambda d: (d.span.start_byte, d.rule_id))
     return diagnostics

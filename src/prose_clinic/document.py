@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 from .lexicon import Lexicon, default_lexicon
 
@@ -75,21 +75,16 @@ class Token:
 class Sentence:
     span: Span
     tokens: tuple[Token, ...]
-    index_in_paragraph: int
 
     @property
     def word_count(self) -> int:
         return sum(1 for t in self.tokens if t.kind in (WORD, NUMBER))
-
-    def word_tokens(self) -> list[Token]:
-        return [t for t in self.tokens if t.kind == WORD]
 
 
 @dataclass(frozen=True)
 class Paragraph:
     span: Span
     sentences: tuple[Sentence, ...]
-    index_in_section: int
 
     @property
     def word_count(self) -> int:
@@ -190,18 +185,20 @@ def tokenize(text: str) -> list[Token]:
     return list(_scan_tokens(text, 0, len(text), _LineIndex(text)))
 
 
-def _ends_with_abbreviation(lowered: str, end: int, abbreviations) -> bool:
+def _ends_with_abbreviation(source: str, end: int, abbreviations) -> bool:
     for abbr in abbreviations:
         pos = end - len(abbr)
         if pos < 0:
             continue
-        if lowered[pos:end] == abbr and (pos == 0 or not lowered[pos - 1].isalnum()):
+        # Lowercase only the window: lowercasing can change a string's length
+        # ("İ" becomes two code points), so offsets into a lowercased copy of
+        # the whole source would drift.
+        if source[pos:end].lower() == abbr and (pos == 0 or not source[pos - 1].isalnum()):
             return True
     return False
 
 
 def _sentence_bounds(source: str, start: int, end: int, abbreviations) -> list[tuple[int, int]]:
-    lowered = source.lower()
     bounds = []
     pos = start
     while pos < end and source[pos].isspace():
@@ -216,7 +213,7 @@ def _sentence_bounds(source: str, start: int, end: int, abbreviations) -> list[t
             continue  # no whitespace gap, or only trailing space: not a split
         if not (source[j].isupper() or source[j].isdigit()):
             continue
-        if m.group() == "." and _ends_with_abbreviation(lowered, m.end(), abbreviations):
+        if m.group() == "." and _ends_with_abbreviation(source, m.end(), abbreviations):
             continue
         bounds.append((pos, m.end()))
         pos = j
@@ -236,7 +233,7 @@ def _build_sentences(source: str, start: int, end: int, index: _LineIndex,
         if not tokens:
             continue
         line, column = index.locate(s)
-        sentences.append(Sentence(Span(s, e, line, column), tokens, len(sentences)))
+        sentences.append(Sentence(Span(s, e, line, column), tokens))
     return tuple(sentences)
 
 
@@ -288,10 +285,9 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             return
         if not sections:
             open_section(0, "")
-        paragraphs = sections[-1]["paragraphs"]
         line, column = index.locate(p_start)
-        paragraphs.append(
-            Paragraph(Span(p_start, p_end, line, column), sentences, len(paragraphs))
+        sections[-1]["paragraphs"].append(
+            Paragraph(Span(p_start, p_end, line, column), sentences)
         )
 
     offset = 0
@@ -366,27 +362,3 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         words_per_page=words_per_page,
     )
 
-
-Countable = Union[Document, Paragraph, Sentence]
-
-
-def count_words(element: Countable) -> int:
-    """Word count of a sentence, paragraph, or document (word and number
-    tokens; punctuation and footnote markers do not count)."""
-    if isinstance(element, Document):
-        return element.total_words
-    if isinstance(element, (Paragraph, Sentence)):
-        return element.word_count
-    raise TypeError(f"cannot count words of {type(element).__name__}")
-
-
-def estimate_pages(doc: Document, words_per_page: int = DEFAULT_WORDS_PER_PAGE) -> float:
-    """Real-valued page estimate at the given prose density."""
-    if words_per_page < 1:
-        raise ValueError("words_per_page must be positive")
-    return doc.total_words / words_per_page
-
-
-def extract_footnotes(doc: Document) -> list[Footnote]:
-    """Matched marker/definition pairs in order of marker appearance."""
-    return list(doc.footnotes)

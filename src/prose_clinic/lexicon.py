@@ -166,13 +166,11 @@ def default_lexicon() -> Lexicon:
 
 
 def stem(word: str) -> str:
-    """Light inflectional stem: lowercase, drop a possessive marker, then
-    strip -ing/-ed/-es/-s until nothing more comes off. The result never gets
-    shorter than three characters, and stemming a stem is a no-op."""
+    """Light inflectional stem: lowercase, then drop possessive markers and
+    trailing apostrophes and strip -ing/-ed/-es/-s until nothing more comes
+    off. A suffix never leaves fewer than three characters, and stemming a
+    stem is a no-op."""
     w = word.lower()
-    if w.endswith(("'s", "’s")):
-        w = w[:-2]
-    w = w.rstrip("'’")
     while True:
         shorter = _strip_one_suffix(w)
         if shorter == w:
@@ -181,6 +179,12 @@ def stem(word: str) -> str:
 
 
 def _strip_one_suffix(w: str) -> str:
+    # Possessive markers and apostrophes come off whenever they end the word,
+    # also after a suffix was stripped ("x'sing"), so a stem is a fixed point.
+    if w.endswith(("'s", "’s")):
+        return w[:-2]
+    if w.endswith(("'", "’")):
+        return w[:-1]
     if w.endswith("ing") and len(w) - 3 >= 3:
         return w[:-3]
     if w.endswith("ed") and len(w) - 2 >= 3:
@@ -194,17 +198,17 @@ def _strip_one_suffix(w: str) -> str:
     return w
 
 
-_EXTENSION_FIELDS = {
-    "stopwords": "stopwords",
-    "coordinating": "coordinating",
-    "subordinating": "subordinating",
-    "conjunctive_adverbs": "conjunctive_adverbs",
-    "demonstratives": "demonstratives",
-    "be_forms": "be_forms",
-    "intensity_words": "intensity_words",
-    "superlatives": "superlatives",
-    "abbreviations": "abbreviations",
-}
+_EXTENSIBLE = (
+    "stopwords",
+    "coordinating",
+    "subordinating",
+    "conjunctive_adverbs",
+    "demonstratives",
+    "be_forms",
+    "intensity_words",
+    "superlatives",
+    "abbreviations",
+)
 
 
 def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
@@ -226,9 +230,9 @@ def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 name = line[1:-1].strip()
-                if name not in _EXTENSION_FIELDS:
+                if name not in _EXTENSIBLE:
                     raise LexiconError(f"{path}:{lineno}: unknown lexicon class {name!r}")
-                current = _EXTENSION_FIELDS[name]
+                current = name
                 added.setdefault(current, set())
                 continue
             if current is None:

@@ -21,9 +21,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .detectors import Diagnostic
-from .document import WORD, Document, Section, Span, tokenize
-from .lexicon import Lexicon, default_lexicon, stem
+from .detectors import _content_stems
+from .document import Document, Section, Span, tokenize
+from .lexicon import Lexicon, default_lexicon
 
 # Pseudo rule id for evidence that points at a section, not a diagnostic.
 RELEVANCE_EVIDENCE = "RELEVANCE"
@@ -84,20 +84,8 @@ _NARRATIVES = {
 
 
 def _content_stem_counts(tokens, lexicon: Lexicon, counts: dict[str, int]) -> None:
-    for token in tokens:
-        if token.kind == WORD and not lexicon.is_stopword(token.text):
-            s = stem(token.text)
-            counts[s] = counts.get(s, 0) + 1
-
-
-def _first_paragraph_stems(section: Section, lexicon: Lexicon) -> set[str]:
-    stems: set[str] = set()
-    if section.paragraphs:
-        for sentence in section.paragraphs[0].sentences:
-            for token in sentence.tokens:
-                if token.kind == WORD and not lexicon.is_stopword(token.text):
-                    stems.add(stem(token.text))
-    return stems
+    for s in _content_stems(tokens, lexicon):
+        counts[s] = counts.get(s, 0) + 1
 
 
 def section_relevance(section: Section, profile: KeywordProfile,
@@ -106,7 +94,10 @@ def section_relevance(section: Section, profile: KeywordProfile,
     lexicon = lexicon or default_lexicon()
     if not profile.keywords:
         return 0
-    stems = _first_paragraph_stems(section, lexicon)
+    stems: set[str] = set()
+    if section.paragraphs:
+        for sentence in section.paragraphs[0].sentences:
+            stems.update(_content_stems(sentence.tokens, lexicon))
     return sum(1 for keyword in profile.keywords if keyword in stems)
 
 

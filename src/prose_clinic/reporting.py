@@ -13,51 +13,8 @@ import json
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .detectors import Diagnostic, Severity
+from .detectors import REGISTRY, Diagnostic
 from .document import Span
-
-
-@dataclass(frozen=True)
-class TreatmentHint:
-    rule_id: str
-    text: str
-    section: str  # where the underlying writing guideline is developed
-
-
-_TREATMENTS = {
-    "S101": TreatmentHint("S101", "Distill the sentence: cut filler phrases "
-                          "to single words and keep one thought per sentence.",
-                          "§1.1"),
-    "S102": TreatmentHint("S102", "Let the action be the verb: turn the "
-                          "noun-made actions back into verbs and retire the "
-                          "'to be'.", "§1.1"),
-    "S103": TreatmentHint("S103", "Reunite subject and verb: move insertions "
-                          "out of the core and trim the lead-in clauses.",
-                          "§1.1"),
-    "S201": TreatmentHint("S201", "Hand off between sentences: open with a "
-                          "connector, repeat the key term, or point back "
-                          "with this/these.", "§1.2"),
-    "S301": TreatmentHint("S301", "Split the paragraph: one point per "
-                          "paragraph, stated in its first sentence.", "§1.3"),
-    "S302": TreatmentHint("S302", "Open with the point: state what the "
-                          "numbers mean before giving the numbers.", "§2.2"),
-    "S401": TreatmentHint("S401", "Carry the storyline: repeat a key term of "
-                          "the previous opener in the next one.", "§1.4"),
-    "S501": TreatmentHint("S501", "Shorten by cutting whole chunks: "
-                          "sections, paragraphs, sentences.", "§1.5"),
-    "S601": TreatmentHint("S601", "Cut footnotes: fold the load-bearing ones "
-                          "into the text and drop the rest.", "§1.6"),
-    "S701": TreatmentHint("S701", "Rest the intensity words: if everything "
-                          "is important, nothing is.", "§2.1"),
-    "S702": TreatmentHint("S702", "Trade praise for evidence: show the "
-                          "result that makes the claim and let readers grade "
-                          "it.", "§2.4"),
-}
-
-
-def treatment_for(rule_id: str) -> TreatmentHint:
-    """Hint for a rule id; raises KeyError for unknown rules."""
-    return _TREATMENTS[rule_id]
 
 
 @dataclass(frozen=True)
@@ -114,12 +71,11 @@ def render_human(report: Report) -> str:
         f"{len(report.maladies)} malady(ies)"
     ]
     for diag in report.diagnostics:
-        hint = treatment_for(diag.rule_id)
         lines.append(
             f"{report.document}:{diag.span.line}:{diag.span.column} "
             f"{diag.rule_id} {diag.message} "
             f"({_fmt_number(diag.measured)}/{_fmt_number(diag.threshold)}) "
-            f"[treat: {hint.section}]"
+            f"[treat: {REGISTRY[diag.rule_id].section}]"
         )
     for malady in report.maladies:
         ids = ", ".join(malady.evidence_rule_ids)
@@ -174,12 +130,15 @@ def _span_from(payload: dict) -> Span:
 
 
 def parse_machine(text: str) -> Report:
-    """Inverse of render_machine."""
+    """Inverse of render_machine. Raises KeyError for an unknown rule id and
+    ValueError for a severity other than the rule's own."""
     data = json.loads(text)
+    for d in data["diagnostics"]:
+        if d["severity"] != REGISTRY[d["rule_id"]].severity.value:
+            raise ValueError(f"{d['rule_id']} has severity {d['severity']!r}")
     diagnostics = tuple(
         Diagnostic(
             d["rule_id"],
-            Severity(d["severity"]),
             _span_from(d),
             d["measured"],
             d["threshold"],

@@ -8,7 +8,7 @@ import random
 
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.detectors import RULES, run_all
-from prose_clinic.document import MARKDOWN, PLAIN, count_words, parse_document
+from prose_clinic.document import MARKDOWN, PLAIN, parse_document
 from prose_clinic.maladies import MaladyKind, extract_keywords, infer_maladies
 from prose_clinic.reporting import (
     build_report,
@@ -59,7 +59,7 @@ def _detect(rule_id, text, fmt=PLAIN, cfg=CFG):
 
 def test_criterion_01_word_count_oracle():
     ok = all(
-        count_words(parse_document(text, PLAIN)) == expected
+        parse_document(text, PLAIN).total_words == expected
         for text, expected in WORD_COUNT_ORACLE
     )
     _verdict(1, "tokenizer word counts", ok)
@@ -270,8 +270,8 @@ def test_criterion_10_property_suite():
     # (e) word-count additivity.
     for text in corpus:
         doc = parse_document(text, MARKDOWN)
-        by_paragraph = sum(count_words(p) for p in doc.iter_paragraphs())
-        by_sentence = sum(count_words(s) for s in doc.iter_sentences())
+        by_paragraph = sum(p.word_count for p in doc.iter_paragraphs())
+        by_sentence = sum(s.word_count for s in doc.iter_sentences())
         if not (doc.total_words == by_paragraph == by_sentence):
             failures.append("additivity")
             break

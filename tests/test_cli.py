@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -72,6 +73,51 @@ def test_missing_file_errors(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_two_without_traceback(tmp_path, capsys):
+    target = tmp_path / "latin1.txt"
+    target.write_bytes(b"Caf\xe9 is good.\n")
+    assert run(["analyze", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
+def test_bad_file_does_not_stop_the_batch(tmp_path, capsys):
+    bad = write(tmp_path, "bad.md", "The model holds[^x]. The model predicts.\n")
+    ok = write(tmp_path, "ok.txt", STROSIS_UNLINKED + "\n")
+    assert run(["analyze", bad, ok]) == 2
+    out = capsys.readouterr()
+    assert bad in out.err
+    assert out.out.startswith(f"{ok}: 2 finding(s)")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "doc.txt", STROSIS_UNLINKED + "\n")
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert run(["analyze", path]) == 2
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
 def test_dangling_marker_is_a_structure_error(tmp_path, capsys):
     text = "The model holds[^9]. The model predicts.\n"
     path = write(tmp_path, "doc.md", text)
@@ -117,6 +163,12 @@ def test_nonpositive_flag_errors(tmp_path, capsys):
     doc = write(tmp_path, "doc.txt", FILLER)
     assert run(["analyze", "--max-sentence-words", "-1", doc]) == 2
     assert "max_sentence_words" in capsys.readouterr().err
+
+
+def test_nan_flag_errors(tmp_path, capsys):
+    doc = write(tmp_path, "doc.txt", FILLER)
+    assert run(["analyze", "--footnote-ratio", "nan", doc]) == 2
+    assert "footnote_ratio" in capsys.readouterr().err
 
 
 def test_float_flag_arms_the_page_rule(tmp_path, capsys):

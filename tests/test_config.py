@@ -31,6 +31,8 @@ def test_config_is_frozen():
     ("max_sentence_words", 0),
     ("footnote_ratio", -0.5),
     ("max_pages", 0),
+    ("footnote_ratio", float("nan")),
+    ("intensity_per_page", float("inf")),
 ])
 def test_nonpositive_values_rejected(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -1,9 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import RULE_IDS, RULES, Diagnostic, Severity, run_all
+from prose_clinic.detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Severity, run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
 
 from docbuild import (
@@ -368,6 +369,15 @@ def test_registry_lists_all_rules():
     assert RULE_IDS == tuple(
         f"S{n}" for n in (101, 102, 103, 201, 301, 302, 401, 501, 601, 701, 702)
     )
+
+
+def test_readme_rules_table_matches_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| S")]
+    assert rows == [
+        f"| {rule.id} | {rule.severity.value:<8} | {rule.summary} |"
+        for rule in REGISTRY.values()
+    ]
 
 
 def test_diagnostic_spans_stay_inside_the_source():

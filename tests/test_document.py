@@ -6,9 +6,6 @@ from prose_clinic.document import (
     PUNCTUATION,
     WORD,
     DocumentStructureError,
-    count_words,
-    estimate_pages,
-    extract_footnotes,
     parse_document,
     segment_sentences,
     tokenize,
@@ -20,7 +17,7 @@ from passages import WORD_COUNT_ORACLE, STROSIS_UNLINKED
 @pytest.mark.parametrize("text,expected", WORD_COUNT_ORACLE)
 def test_word_count_oracle(text, expected):
     doc = parse_document(text, "plain")
-    assert count_words(doc) == expected
+    assert doc.total_words == expected
 
 
 def test_hyphenated_compounds_are_one_word_token():
@@ -106,6 +103,12 @@ def test_segmentation_does_not_split_after_abbreviations(text):
     assert len(segment_sentences(text)) == 1
 
 
+def test_dotted_capital_i_does_not_shift_abbreviation_check():
+    # "İ".lower() is two code points; the "e.g." check must still see "e.g.".
+    doc = parse_document("İ Alpha uses a method, e.g. Beta is good.", "plain")
+    assert len(list(doc.iter_sentences())) == 1
+
+
 def test_segmentation_requires_capital_or_digit_after_terminator():
     assert len(segment_sentences("it fell. then it rose.")) == 1
     assert len(segment_sentences("It fell. 50 more followed.")) == 2
@@ -170,7 +173,7 @@ FOOTNOTE_DOC = (
 
 def test_footnote_pair_extraction():
     doc = parse_document(FOOTNOTE_DOC, "markdown")
-    notes = extract_footnotes(doc)
+    notes = doc.footnotes
     assert len(notes) == 1
     note = notes[0]
     assert note.id == "1"
@@ -218,9 +221,9 @@ def test_plain_format_has_no_footnotes():
 def test_word_count_additivity():
     doc = parse_document(FOOTNOTE_DOC + "\nAnother paragraph follows here.\n", "markdown")
     paragraphs = [p for s in doc.sections for p in s.paragraphs]
-    assert doc.total_words == sum(count_words(p) for p in paragraphs)
+    assert doc.total_words == sum(p.word_count for p in paragraphs)
     sentences = [s for p in paragraphs for s in p.sentences]
-    assert doc.total_words == sum(count_words(s) for s in sentences)
+    assert doc.total_words == sum(s.word_count for s in sentences)
 
 
 def test_parse_is_deterministic():
@@ -228,10 +231,11 @@ def test_parse_is_deterministic():
 
 
 def test_estimate_pages():
-    doc = parse_document("word " * 12000, "plain")
+    text = "word " * 12000
+    doc = parse_document(text, "plain")
     assert doc.total_words == 12000
-    assert estimate_pages(doc, 400) == 30.0
-    assert estimate_pages(doc, 600) == 20.0
+    assert doc.page_estimate == 30.0
+    assert parse_document(text, "plain", words_per_page=600).page_estimate == 20.0
 
 
 def test_span_soundness_of_parsed_structure():

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -134,8 +135,6 @@ def test_corpus_trips_every_rule_and_malady():
 
 
 def record() -> None:
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import RULE_IDS, run_all
+from prose_clinic.detectors import REGISTRY, RULE_IDS, run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
 from prose_clinic.maladies import extract_keywords, infer_maladies
 from prose_clinic.reporting import (
@@ -13,7 +13,6 @@ from prose_clinic.reporting import (
     parse_machine,
     render_human,
     render_machine,
-    treatment_for,
 )
 
 from docbuild import FILLER, INTENSITY_ADJ, SURVEY, footnote_document, interleave
@@ -52,15 +51,15 @@ def composite_text():
 
 def test_every_rule_has_a_treatment_hint():
     for rule_id in RULE_IDS:
-        hint = treatment_for(rule_id)
-        assert hint.rule_id == rule_id
-        assert hint.text
-        assert hint.section == EXPECTED_GUIDE_SECTIONS[rule_id]
+        rule = REGISTRY[rule_id]
+        assert rule.id == rule_id
+        assert rule.treatment
+        assert rule.section == EXPECTED_GUIDE_SECTIONS[rule_id]
 
 
 def test_unknown_rule_raises_key_error():
     with pytest.raises(KeyError):
-        treatment_for("S999")
+        REGISTRY["S999"]
 
 
 # --- human rendering ---------------------------------------------------------
@@ -133,6 +132,12 @@ def test_machine_payload_shape():
 def test_machine_round_trip():
     report = report_for(composite_text())
     assert parse_machine(render_machine(report)) == report
+
+
+def test_machine_severity_must_match_the_rule():
+    text = render_machine(report_for(STROSIS_UNLINKED, fmt=PLAIN))
+    with pytest.raises(ValueError, match="S201"):
+        parse_machine(text.replace('"warning"', '"info"'))
 
 
 def test_machine_round_trip_empty():
