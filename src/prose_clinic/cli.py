@@ -77,6 +77,8 @@ def run(argv=None) -> int:
         if args.rules is not None:
             rules = select_rules(part.strip() for part in args.rules.split(",")
                                  if part.strip())
+            if not rules:
+                raise ValueError("--rules names no rule id")
         lexicon = default_lexicon()
         if args.lexicon:
             lexicon = load_lexicon_extensions(args.lexicon, lexicon)
@@ -89,7 +91,9 @@ def run(argv=None) -> int:
     try:
         for path in args.paths:
             try:
-                with open(path, encoding="utf-8") as fh:
+                # utf-8-sig drops a leading byte-order mark, which would
+                # otherwise read as the first character of the text.
+                with open(path, encoding="utf-8-sig") as fh:
                     source = fh.read()
                 doc = parse_document(source, args.format, lexicon=lexicon,
                                      words_per_page=cfg.words_per_page)
@@ -101,9 +105,9 @@ def run(argv=None) -> int:
                 print(f"clinic: {path}: {exc}", file=sys.stderr)
                 failed = True
                 continue
-            diagnostics = run_all(doc, cfg, lexicon, rules=rules)
-            profile = extract_keywords(doc, cfg, lexicon)
-            findings = infer_maladies(doc, diagnostics, cfg, profile, lexicon)
+            diagnostics = run_all(doc, cfg, rules=rules)
+            profile = extract_keywords(doc, cfg)
+            findings = infer_maladies(doc, diagnostics, cfg, profile)
             report = build_report(path, cfg, diagnostics, findings)
             if args.output == "machine":
                 sys.stdout.write(render_machine(report))

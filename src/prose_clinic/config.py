@@ -73,7 +73,7 @@ def load_config(path: str, base: AnalysisConfig | None = None) -> AnalysisConfig
     """Read a config file and apply it over the base (or the defaults)."""
     base = base or AnalysisConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -1,9 +1,9 @@
 """Symptom detectors.
 
-Each rule is a pure function of (Document, AnalysisConfig, Lexicon) returning
-located diagnostics. REGISTRY at the end of the module holds one Rule record
-per rule; the rule table, the severities and the treatment pointers are all
-read from it.
+Each rule is a pure function of (Document, AnalysisConfig) returning located
+diagnostics; word classes come from the lexicon the document was parsed with.
+REGISTRY at the end of the module holds one Rule record per rule; the rule
+table, the severities and the treatment pointers are all read from it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .document import (
     Span,
     Token,
 )
-from .lexicon import ConnectorClass, Lexicon, default_lexicon, stem
+from .lexicon import ConnectorClass, Lexicon
 
 
 class Severity(enum.Enum):
@@ -54,22 +54,13 @@ def _countable(tokens) -> list[Token]:
     return [t for t in tokens if t.kind in (WORD, NUMBER)]
 
 
-def _content_stems(tokens, lexicon: Lexicon) -> list[str]:
-    """Stems of the content (non-stopword) words among tokens, in order."""
-    return [
-        stem(t.text)
-        for t in tokens
-        if t.kind == WORD and not lexicon.is_stopword(t.text)
-    ]
-
-
 def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
     """A connector among the first link_window_tokens words, or a
     demonstrative anywhere in the sentence."""
-    window = _words(sentence.tokens)[: cfg.link_window_tokens]
+    window = sentence.words[: cfg.link_window_tokens]
     if any(lexicon.connector_class(t.text) is not ConnectorClass.NONE for t in window):
         return True
-    return any(t.kind == WORD and lexicon.is_demonstrative(t.text) for t in sentence.tokens)
+    return any(lexicon.is_demonstrative(t.text) for t in sentence.words)
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:
@@ -86,8 +77,7 @@ def _cover(tokens) -> Span:
     return Span(first.start_byte, last.end_byte, first.line, first.column)
 
 
-def detect_long_sentence(doc: Document, cfg: AnalysisConfig,
-                         lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S101: sentence word count above max_sentence_words."""
     out = []
     for sentence in doc.iter_sentences():
@@ -101,14 +91,13 @@ def detect_long_sentence(doc: Document, cfg: AnalysisConfig,
     return out
 
 
-def detect_hidden_verb(doc: Document, cfg: AnalysisConfig,
-                       lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S102: a be-form carrying nominalizations, or a "the <gerund> of"
     construction, instead of a strong verb."""
-    lexicon = lexicon or default_lexicon()
+    lexicon = doc.lexicon
     out = []
     for sentence in doc.iter_sentences():
-        words = _words(sentence.tokens)
+        words = sentence.words
         be_tokens = [t for t in words if lexicon.is_be_form(t.text)]
         if not be_tokens:
             continue
@@ -157,11 +146,10 @@ def _qualifies_as_lead(words: list[Token], lexicon: Lexicon) -> bool:
     return False
 
 
-def detect_broken_core(doc: Document, cfg: AnalysisConfig,
-                       lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S103: the subject-verb core is interrupted by a long comma insertion,
     or delayed past max_delay_words of leading clauses."""
-    lexicon = lexicon or default_lexicon()
+    lexicon = doc.lexicon
     out = []
     for sentence in doc.iter_sentences():
         segments = _comma_segments(sentence)
@@ -200,37 +188,26 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig,
     return out
 
 
-def detect_missing_link(doc: Document, cfg: AnalysisConfig,
-                        lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S201: a sentence that neither opens with a connector, nor repeats a
     content stem of its predecessor, nor points back with a demonstrative.
     A bare pronoun does not count as a link."""
-    lexicon = lexicon or default_lexicon()
     out = []
     for paragraph in doc.iter_paragraphs():
-        # The previous sentence's stems are carried forward, so each sentence
-        # is stemmed at most once; None until a comparison needs them.
-        prev_stems = None
         for prev, cur in zip(paragraph.sentences, paragraph.sentences[1:]):
-            if _signals_link(cur, cfg, lexicon):
-                prev_stems = None
+            if _signals_link(cur, cfg, doc.lexicon):
                 continue
-            if prev_stems is None:
-                prev_stems = set(_content_stems(prev.tokens, lexicon))
-            cur_stems = set(_content_stems(cur.tokens, lexicon))
-            if not prev_stems & cur_stems:
+            if set(prev.stems).isdisjoint(cur.stems):
                 out.append(Diagnostic(
                     "S201", cur.span, 0, 1,
                     "no explicit link to the previous sentence (no leading "
                     "connector, repeated key term, or demonstrative)",
                     (prev.span, cur.span),
                 ))
-            prev_stems = cur_stems
     return out
 
 
-def detect_long_paragraph(doc: Document, cfg: AnalysisConfig,
-                          lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_long_paragraph(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S301: paragraph with more sentences than the chunk norm."""
     out = []
     for paragraph in doc.iter_paragraphs():
@@ -245,12 +222,10 @@ def detect_long_paragraph(doc: Document, cfg: AnalysisConfig,
     return out
 
 
-def detect_leading_detail(doc: Document, cfg: AnalysisConfig,
-                          lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S302: a paragraph of four or more sentences whose first sentence leads
     with numbers and never signals a point (no demonstrative, no connector in
     the opening window)."""
-    lexicon = lexicon or default_lexicon()
     out = []
     for paragraph in doc.iter_paragraphs():
         if len(paragraph.sentences) < 4:
@@ -259,7 +234,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig,
         numbers = [t for t in first.tokens if t.kind == NUMBER]
         if not numbers:
             continue
-        if _signals_link(first, cfg, lexicon):
+        if _signals_link(first, cfg, doc.lexicon):
             continue
         out.append(Diagnostic(
             "S302", first.span, len(numbers), 0,
@@ -270,28 +245,24 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig,
     return out
 
 
-def detect_storyline_break(doc: Document, cfg: AnalysisConfig,
-                           lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S401: adjacent paragraphs in a section whose first sentences share no
     content stem; the storyline of openers breaks there."""
-    lexicon = lexicon or default_lexicon()
     out = []
     for section in doc.sections:
         openers = [p.first_sentence for p in section.paragraphs]
-        stems = [set(_content_stems(s.tokens, lexicon)) for s in openers]
-        for i in range(1, len(openers)):
-            if not stems[i - 1] & stems[i]:
+        for prev, cur in zip(openers, openers[1:]):
+            if set(prev.stems).isdisjoint(cur.stems):
                 out.append(Diagnostic(
-                    "S401", openers[i].span, 0, 1,
+                    "S401", cur.span, 0, 1,
                     "paragraph opener carries no key term over from the "
                     "previous opener",
-                    (openers[i - 1].span, openers[i].span),
+                    (prev.span, cur.span),
                 ))
     return out
 
 
-def detect_overlong_document(doc: Document, cfg: AnalysisConfig,
-                             lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_overlong_document(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S501: page estimate above max_pages. Dormant unless max_pages is set."""
     if cfg.max_pages is None:
         return []
@@ -305,8 +276,7 @@ def detect_overlong_document(doc: Document, cfg: AnalysisConfig,
     )]
 
 
-def detect_footnote_overload(doc: Document, cfg: AnalysisConfig,
-                             lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_footnote_overload(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S601: more footnotes than the fair count (about footnote_ratio per
     page, rounded to the nearest integer, halves up)."""
     count = len(doc.footnotes)
@@ -324,18 +294,18 @@ def detect_footnote_overload(doc: Document, cfg: AnalysisConfig,
     )]
 
 
-def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig,
-                             lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S701: an intensity word family (adjective and adverb pooled) used more
     often than intensity_per_page."""
-    lexicon = lexicon or default_lexicon()
+    lexicon = doc.lexicon
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
     families: dict[str, list[Token]] = {}
-    for token in doc.iter_tokens():
-        if token.kind == WORD and lexicon.is_intensity_word(token.text):
-            families.setdefault(lexicon.intensity_family(token.text), []).append(token)
+    for sentence in doc.iter_sentences():
+        for token in sentence.words:
+            if lexicon.is_intensity_word(token.text):
+                families.setdefault(lexicon.intensity_family(token.text), []).append(token)
     out = []
     for family, tokens in families.items():
         rate = len(tokens) / pages
@@ -349,17 +319,16 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig,
     return out
 
 
-def detect_superlative_density(doc: Document, cfg: AnalysisConfig,
-                               lexicon: Lexicon | None = None) -> list[Diagnostic]:
+def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S702: superlatives (including "most <content word>") denser than
     superlative_per_page; praise standing in for argument."""
-    lexicon = lexicon or default_lexicon()
+    lexicon = doc.lexicon
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
     spans: list[Span] = []
     for sentence in doc.iter_sentences():
-        words = _words(sentence.tokens)
+        words = sentence.words
         for i, token in enumerate(words):
             if lexicon.is_superlative(token.text):
                 spans.append(token.span)
@@ -461,13 +430,11 @@ def select_rules(rule_ids=None) -> tuple[str, ...]:
     return tuple(r for r in RULE_IDS if r in wanted)
 
 
-def run_all(doc: Document, cfg: AnalysisConfig, lexicon: Lexicon | None = None,
-            rules=None) -> list[Diagnostic]:
+def run_all(doc: Document, cfg: AnalysisConfig, rules=None) -> list[Diagnostic]:
     """Run the selected detectors (all by default) and return diagnostics
     sorted by span start, then rule id."""
-    lexicon = lexicon or default_lexicon()
     diagnostics: list[Diagnostic] = []
     for rule_id in select_rules(rules):
-        diagnostics.extend(RULES[rule_id](doc, cfg, lexicon))
+        diagnostics.extend(RULES[rule_id](doc, cfg))
     diagnostics.sort(key=lambda d: (d.span.start_byte, d.rule_id))
     return diagnostics

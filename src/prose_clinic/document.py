@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .lexicon import Lexicon, default_lexicon
+from .lexicon import Lexicon, default_lexicon, stem
 
 WORD = "word"
 NUMBER = "number"
@@ -73,12 +73,15 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
+    """A sentence with its word view, computed once at parse: the WORD
+    tokens, the word count (WORD plus NUMBER tokens) and the content stems
+    (see content_stems)."""
+
     span: Span
     tokens: tuple[Token, ...]
-
-    @property
-    def word_count(self) -> int:
-        return sum(1 for t in self.tokens if t.kind in (WORD, NUMBER))
+    words: tuple[Token, ...]
+    word_count: int
+    stems: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,9 @@ class Document:
     sections: tuple[Section, ...]
     footnotes: tuple[Footnote, ...]
     total_words: int
+    # The lexicon the document was parsed with; every analysis reads its word
+    # classes from here, so that they agree with the stems and sentence splits.
+    lexicon: Lexicon = field(repr=False)
     words_per_page: int = DEFAULT_WORDS_PER_PAGE
 
     @property
@@ -129,10 +135,6 @@ class Document:
     def iter_sentences(self) -> Iterator[Sentence]:
         for paragraph in self.iter_paragraphs():
             yield from paragraph.sentences
-
-    def iter_tokens(self) -> Iterator[Token]:
-        for sentence in self.iter_sentences():
-            yield from sentence.tokens
 
 
 # Digit groups may join on . or , ("0.35", "200,000"); alphanumeric runs may
@@ -225,15 +227,24 @@ def _sentence_bounds(source: str, start: int, end: int, abbreviations) -> list[t
     return bounds
 
 
+def content_stems(words, lexicon: Lexicon) -> tuple[str, ...]:
+    """Stems of the content (non-stopword) words among WORD tokens, in order
+    and with repeats, so that counts over them keep their multiplicity."""
+    return tuple(stem(t.text) for t in words if not lexicon.is_stopword(t.text))
+
+
 def _build_sentences(source: str, start: int, end: int, index: _LineIndex,
                      lexicon: Lexicon) -> tuple[Sentence, ...]:
     sentences = []
     for s, e in _sentence_bounds(source, start, end, lexicon.abbreviations):
         tokens = _scan_tokens(source, s, e, index)
-        if not tokens:
-            continue
+        words = tuple(t for t in tokens if t.kind == WORD)
         line, column = index.locate(s)
-        sentences.append(Sentence(Span(s, e, line, column), tokens))
+        sentences.append(Sentence(
+            Span(s, e, line, column), tokens, words,
+            sum(1 for t in tokens if t.kind in (WORD, NUMBER)),
+            content_stems(words, lexicon),
+        ))
     return tuple(sentences)
 
 
@@ -273,21 +284,14 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         if not block:
             return
         lines, block = block, []
-        p_start, p_end = lines[0][0], lines[-1][1]
-        while p_start < p_end and source[p_start].isspace():
-            p_start += 1
-        while p_end > p_start and source[p_end - 1].isspace():
-            p_end -= 1
-        if p_start >= p_end:
-            return
-        sentences = _build_sentences(source, p_start, p_end, index, lexicon)
-        if not sentences:
-            return
+        # Block lines are never blank, so there is at least one sentence.
+        sentences = _build_sentences(source, lines[0][0], lines[-1][1], index, lexicon)
         if not sections:
             open_section(0, "")
-        line, column = index.locate(p_start)
+        first, last = sentences[0].span, sentences[-1].span
         sections[-1]["paragraphs"].append(
-            Paragraph(Span(p_start, p_end, line, column), sentences)
+            Paragraph(Span(first.start_byte, last.end_byte, first.line, first.column),
+                      sentences)
         )
 
     offset = 0
@@ -359,6 +363,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         sections=built_sections,
         footnotes=tuple(footnotes),
         total_words=total,
+        lexicon=lexicon,
         words_per_page=words_per_page,
     )
 

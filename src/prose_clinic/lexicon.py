@@ -10,6 +10,7 @@ load_lexicon_extensions.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 
@@ -165,6 +166,7 @@ def default_lexicon() -> Lexicon:
     return _DEFAULT
 
 
+@functools.cache
 def stem(word: str) -> str:
     """Light inflectional stem: lowercase, then drop possessive markers and
     trailing apostrophes and strip -ing/-ed/-es/-s until nothing more comes
@@ -223,21 +225,25 @@ def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
     lex = base or default_lexicon()
     added: dict[str, set[str]] = {}
     current: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                if name not in _EXTENSIBLE:
-                    raise LexiconError(f"{path}:{lineno}: unknown lexicon class {name!r}")
-                current = name
-                added.setdefault(current, set())
-                continue
-            if current is None:
-                raise LexiconError(f"{path}:{lineno}: entry before any [class] header")
-            added[current].add(line.lower())
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in _EXTENSIBLE:
+                raise LexiconError(f"{path}:{lineno}: unknown lexicon class {name!r}")
+            current = name
+            added.setdefault(current, set())
+            continue
+        if current is None:
+            raise LexiconError(f"{path}:{lineno}: entry before any [class] header")
+        added[current].add(line.lower())
     updates = {
         field: getattr(lex, field) | frozenset(words)
         for field, words in added.items()

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .detectors import _content_stems
-from .document import Document, Section, Span, tokenize
-from .lexicon import Lexicon, default_lexicon
+from .document import WORD, Document, Section, Span, content_stems, tokenize
 
 # Pseudo rule id for evidence that points at a section, not a diagnostic.
 RELEVANCE_EVIDENCE = "RELEVANCE"
@@ -83,40 +82,32 @@ _NARRATIVES = {
 }
 
 
-def _content_stem_counts(tokens, lexicon: Lexicon, counts: dict[str, int]) -> None:
-    for s in _content_stems(tokens, lexicon):
-        counts[s] = counts.get(s, 0) + 1
-
-
-def section_relevance(section: Section, profile: KeywordProfile,
-                      lexicon: Lexicon | None = None) -> int:
+def section_relevance(section: Section, profile: KeywordProfile) -> int:
     """How many profile keywords the section's first paragraph repeats."""
-    lexicon = lexicon or default_lexicon()
     if not profile.keywords:
         return 0
     stems: set[str] = set()
     if section.paragraphs:
         for sentence in section.paragraphs[0].sentences:
-            stems.update(_content_stems(sentence.tokens, lexicon))
+            stems.update(sentence.stems)
     return sum(1 for keyword in profile.keywords if keyword in stems)
 
 
-def extract_keywords(doc: Document, cfg: AnalysisConfig,
-                     lexicon: Lexicon | None = None) -> KeywordProfile:
+def extract_keywords(doc: Document, cfg: AnalysisConfig) -> KeywordProfile:
     """Rank content stems of the opening (first section's heading and first
     two paragraphs) by frequency, ties broken alphabetically."""
-    lexicon = lexicon or default_lexicon()
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     if doc.sections:
         opening = doc.sections[0]
-        _content_stem_counts(tokenize(opening.heading_text), lexicon, counts)
+        heading = [t for t in tokenize(opening.heading_text) if t.kind == WORD]
+        counts.update(content_stems(heading, doc.lexicon))
         for paragraph in opening.paragraphs[:2]:
             for sentence in paragraph.sentences:
-                _content_stem_counts(sentence.tokens, lexicon, counts)
+                counts.update(sentence.stems)
     ranked = sorted(counts, key=lambda s: (-counts[s], s))
     keywords = tuple(ranked[: cfg.keyword_count])
     bare = KeywordProfile(keywords, ())
-    overlaps = tuple(section_relevance(sec, bare, lexicon) for sec in doc.sections)
+    overlaps = tuple(section_relevance(sec, bare) for sec in doc.sections)
     return KeywordProfile(keywords, overlaps)
 
 
@@ -128,15 +119,13 @@ def _locate_paragraph(starts, paragraphs, span: Span):
 
 
 def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
-                   profile: KeywordProfile | None = None,
-                   lexicon: Lexicon | None = None) -> list[MaladyFinding]:
+                   profile: KeywordProfile | None = None) -> list[MaladyFinding]:
     """Derive malady findings from a diagnostic list. No symptoms, no
     maladies."""
     if not diagnostics:
         return []
-    lexicon = lexicon or default_lexicon()
     if profile is None:
-        profile = extract_keywords(doc, cfg, lexicon)
+        profile = extract_keywords(doc, cfg)
     findings: list[MaladyFinding] = []
 
     # FaultyRAP: growth symptoms of several distinct kinds. Storyline breaks

@@ -67,6 +67,15 @@ def test_unknown_rule_errors(tmp_path, capsys):
     assert "S999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ids", ["", ","])
+def test_empty_rules_list_errors(tmp_path, capsys, ids):
+    path = write(tmp_path, "a.txt", STROSIS_UNLINKED + "\n")
+    assert run(["analyze", "--rules", ids, path]) == 2
+    out = capsys.readouterr()
+    assert "--rules" in out.err
+    assert out.out == ""
+
+
 def test_missing_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert run(["analyze", missing]) == 2
@@ -191,6 +200,29 @@ def test_lexicon_extension_adds_superlatives(tmp_path, capsys):
     capsys.readouterr()
     assert run(base[:3] + ["--lexicon", words] + base[3:]) == 1
     assert " S702 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["missing.lex", "folder.lex"])
+def test_unreadable_lexicon_exits_two_without_traceback(tmp_path, capsys, name):
+    (tmp_path / "folder.lex").mkdir()
+    lexicon = str(tmp_path / name)
+    path = write(tmp_path, "ok.txt", FILLER + "\n")
+    assert run(["analyze", "--lexicon", lexicon, path]) == 2
+    out = capsys.readouterr()
+    assert lexicon in out.err
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    text = "# Methods\n\nAlpha is good.\n\n# Results\n\nBeta is here.\n"
+    plain = write(tmp_path, "plain.md", text)
+    bom = write(tmp_path, "bom.md", "\ufeff" + text)
+    for output in ("human", "machine"):
+        assert run(["analyze", "--output", output, plain]) == 0
+        expected = capsys.readouterr().out.replace(plain, "PATH")
+        assert run(["analyze", "--output", output, bom]) == 0
+        assert capsys.readouterr().out.replace(bom, "PATH") == expected
 
 
 def test_multiple_paths_report_in_order(tmp_path, capsys):

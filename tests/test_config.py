@@ -70,3 +70,9 @@ def test_load_config_applies_over_base(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="nope.cfg"):
         load_config(str(tmp_path / "nope.cfg"))
+
+
+def test_load_config_ignores_byte_order_mark(tmp_path):
+    path = tmp_path / "clinic.cfg"
+    path.write_text("\ufeffmax_sentence_words = 30\n", encoding="utf-8")
+    assert load_config(str(path)).max_sentence_words == 30

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prose_clinic.config import AnalysisConfig
+from prose_clinic.detectors import run_all
 from prose_clinic.document import (
     FOOTNOTE_MARKER,
+    FORMATS,
     NUMBER,
     PUNCTUATION,
     WORD,
@@ -10,6 +15,9 @@ from prose_clinic.document import (
     segment_sentences,
     tokenize,
 )
+from prose_clinic.lexicon import stem
+from prose_clinic.maladies import infer_maladies
+from prose_clinic.reporting import build_report, parse_machine, render_machine
 
 from passages import WORD_COUNT_ORACLE, STROSIS_UNLINKED
 
@@ -250,3 +258,89 @@ def test_span_soundness_of_parsed_structure():
                 assert sentence.span.end_byte <= paragraph.span.end_byte
                 for token in sentence.tokens:
                     assert source[token.span.start_byte : token.span.end_byte] == token.text
+
+
+# Pieces that stress the parser: line endings, odd whitespace, NUL, combining
+# marks, a capital whose lowercase is longer, abbreviations, numbers with
+# separators, footnote markers and definitions, and headings.
+_PIECES = st.sampled_from([
+    "Alpha", "beta", "The", "model", "this", "most", "best", "is", "the", "of",
+    "e.g.", "Dr.", "et al.", "İ", "İs", "e\u0301", "\u0301", "Ångström",
+    "0.35", "200,000", "1974-1994", "42", "don't", "teachers'",
+    ".", "!", "?", ",", "...", "-", "_",
+    " ", "  ", "\t", "\n", "\r\n", "\n\n", "\r\n\r\n", "\r", "\x00", "\u00a0", "\u2028",
+    "[^1]", "[^a]", "\n[^1]: A note.\n", "\n[^a]: Another note.\n", "\n[^1]:\n",
+    "Claim[^z] holds.\n\n[^z]: Note z.\n", "\n\nThe model grows. It is best.\n\n",
+    "\n# Heading\n", "\n## Methods ##\n", "#",
+])
+_TEXT = st.lists(st.one_of(_PIECES, _PIECES, st.text(max_size=6)), max_size=40).map("".join)
+
+
+def _recount(source, span):
+    line = source.count("\n", 0, span.start_byte) + 1
+    column = span.start_byte - (source.rfind("\n", 0, span.start_byte) + 1) + 1
+    assert (span.line, span.column) == (line, column)
+
+
+def _parse_or_none(text, fmt):
+    try:
+        return parse_document(text, fmt)
+    except DocumentStructureError:
+        return None
+
+
+# A loaded machine can push one example past the default deadline.
+@settings(deadline=None)
+@given(_TEXT, st.sampled_from(FORMATS))
+def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    lexicon = doc.lexicon
+    last_end = 0
+    total = 0
+    for paragraph in doc.iter_paragraphs():
+        p = paragraph.span
+        assert last_end <= p.start_byte < p.end_byte <= len(text)
+        _recount(text, p)
+        last_end = p.start_byte
+        for sentence in paragraph.sentences:
+            s = sentence.span
+            assert last_end <= s.start_byte < s.end_byte <= p.end_byte
+            _recount(text, s)
+            last_end = s.start_byte
+            for token in sentence.tokens:
+                t = token.span
+                assert last_end <= t.start_byte < t.end_byte <= s.end_byte
+                assert text[t.start_byte:t.end_byte] == token.text
+                _recount(text, t)
+                last_end = t.end_byte
+            last_end = s.end_byte
+            words = tuple(t for t in sentence.tokens if t.kind == WORD)
+            assert sentence.words == words
+            assert sentence.word_count == sum(
+                1 for t in sentence.tokens if t.kind in (WORD, NUMBER))
+            assert sentence.stems == tuple(
+                stem(t.text) for t in words if not lexicon.is_stopword(t.text))
+        assert paragraph.word_count == sum(s.word_count for s in paragraph.sentences)
+        total += paragraph.word_count
+        last_end = p.end_byte
+    assert doc.total_words == total
+    for note in doc.footnotes:
+        for span in (note.marker_span, note.body_span):
+            assert 0 <= span.start_byte < span.end_byte <= len(text)
+            _recount(text, span)
+        marker = note.marker_span
+        assert text[marker.start_byte:marker.end_byte] == f"[^{note.id}]"
+
+
+@settings(deadline=None)
+@given(_TEXT, st.sampled_from(FORMATS))
+def test_machine_report_round_trips_for_arbitrary_text(text, fmt):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    cfg = AnalysisConfig()
+    diagnostics = run_all(doc, cfg)
+    report = build_report("doc", cfg, diagnostics, infer_maladies(doc, diagnostics, cfg))
+    assert parse_machine(render_machine(report)) == report

@@ -156,3 +156,16 @@ def test_extension_file_rejects_entry_before_header(tmp_path):
     ext.write_text("orphan\n", encoding="utf-8")
     with pytest.raises(LexiconError):
         load_lexicon_extensions(str(ext))
+
+
+def test_extension_file_ignores_byte_order_mark(tmp_path):
+    ext = tmp_path / "bom.lex"
+    ext.write_text("\ufeff[superlatives]\nshiniest\n", encoding="utf-8")
+    assert load_lexicon_extensions(str(ext)).is_superlative("shiniest")
+
+
+def test_unreadable_extension_file_is_a_lexicon_error(tmp_path):
+    with pytest.raises(LexiconError, match="nope.lex"):
+        load_lexicon_extensions(str(tmp_path / "nope.lex"))
+    with pytest.raises(LexiconError):
+        load_lexicon_extensions(str(tmp_path))
