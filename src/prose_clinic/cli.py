@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -19,6 +20,8 @@ from .maladies import extract_keywords, infer_maladies
 from .reporting import build_report, render_human, render_machine
 
 
+# Built once per process: parse_args does not change the parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clinic",

@@ -77,5 +77,7 @@ def load_config(path: str, base: AnalysisConfig | None = None) -> AnalysisConfig
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     overrides = parse_config_text(text, source=path)
     return dataclasses.replace(base, **overrides)

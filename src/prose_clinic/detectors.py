@@ -2,6 +2,8 @@
 
 Each rule is a pure function of (Document, AnalysisConfig) returning located
 diagnostics; word classes come from the lexicon the document was parsed with.
+The rules read the document's flat token arrays (doc.store) by index, not
+the Token views, and build a Span only for what they report.
 REGISTRY at the end of the module holds one Rule record per rule; the rule
 table, the severities and the treatment pointers are all read from it.
 """
@@ -15,13 +17,13 @@ from typing import Callable
 
 from .config import AnalysisConfig
 from .document import (
-    NUMBER,
-    PUNCTUATION,
-    WORD,
+    NUMBER_CODE,
+    PUNCTUATION_CODE,
+    WORD_CODE,
     Document,
     Sentence,
     Span,
-    Token,
+    TokenStore,
 )
 from .lexicon import ConnectorClass, Lexicon
 
@@ -45,22 +47,15 @@ class Diagnostic:
         return REGISTRY[self.rule_id].severity
 
 
-def _words(tokens) -> list[Token]:
-    return [t for t in tokens if t.kind == WORD]
-
-
-def _countable(tokens) -> list[Token]:
-    # Same notion of "word" as sentence word counts: words plus numbers.
-    return [t for t in tokens if t.kind in (WORD, NUMBER)]
-
-
 def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
     """A connector among the first link_window_tokens words, or a
     demonstrative anywhere in the sentence."""
-    window = sentence.words[: cfg.link_window_tokens]
-    if any(lexicon.connector_class(t.text) is not ConnectorClass.NONE for t in window):
+    words = sentence.store.word_text
+    lo, hi = sentence.first_word, sentence.end_word
+    window = words[lo:min(hi, lo + cfg.link_window_tokens)]
+    if any(lexicon.connector_class(w) is not ConnectorClass.NONE for w in window):
         return True
-    return any(lexicon.is_demonstrative(t.text) for t in sentence.words)
+    return any(lexicon.is_demonstrative(w) for w in words[lo:hi])
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:
@@ -69,12 +64,7 @@ def _pages(doc: Document, cfg: AnalysisConfig) -> float:
 
 
 def _document_span(doc: Document) -> Span:
-    return Span(0, len(doc.source), 1, 1)
-
-
-def _cover(tokens) -> Span:
-    first, last = tokens[0].span, tokens[-1].span
-    return Span(first.start_byte, last.end_byte, first.line, first.column)
+    return doc.store.lines.span(0, len(doc.source))
 
 
 def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
@@ -94,27 +84,28 @@ def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]
 def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S102: a be-form carrying nominalizations, or a "the <gerund> of"
     construction, instead of a strong verb."""
-    lexicon = doc.lexicon
+    lexicon, store = doc.lexicon, doc.store
+    words = store.word_text
     out = []
     for sentence in doc.iter_sentences():
-        words = sentence.words
-        be_tokens = [t for t in words if lexicon.is_be_form(t.text)]
-        if not be_tokens:
+        lo, hi = sentence.first_word, sentence.end_word
+        be = next((i for i in range(lo, hi) if lexicon.is_be_form(words[i])), None)
+        if be is None:
             continue
-        noms = [t for t in words if lexicon.is_nominalization(t.text)]
+        noms = [i for i in range(lo, hi) if lexicon.is_nominalization(words[i])]
         gerund = None
-        for i in range(len(words) - 2):
-            mid = words[i + 1].text.lower()
-            if (words[i].text.lower() == "the" and words[i + 2].text.lower() == "of"
+        for i in range(lo, hi - 2):
+            mid = words[i + 1].lower()
+            if (words[i].lower() == "the" and words[i + 2].lower() == "of"
                     and mid.endswith("ing") and len(mid) >= 5):
-                gerund = _cover(words[i:i + 3])
+                gerund = i
                 break
-        signals = len(noms) + (2 if gerund else 0)
+        signals = len(noms) + (2 if gerund is not None else 0)
         if signals < 2:
             continue
-        evidence = [be_tokens[0].span] + [t.span for t in noms]
-        if gerund:
-            evidence.append(gerund)
+        evidence = [store.word_span(i) for i in [be, *noms]]
+        if gerund is not None:
+            evidence.append(store.word_span(gerund, gerund + 3))
         out.append(Diagnostic(
             "S102", sentence.span, signals, 2,
             "a form of 'to be' plus noun-made actions hides the verb; "
@@ -124,21 +115,32 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _comma_segments(sentence: Sentence) -> list[list[Token]]:
-    segments: list[list[Token]] = [[]]
-    for token in sentence.tokens:
-        if token.kind == PUNCTUATION and token.text == ",":
-            segments.append([])
-        else:
-            segments[-1].append(token)
+def _comma_segments(sentence: Sentence) -> list[tuple[int, int]]:
+    """Token index ranges [lo, hi) of the sentence's comma-separated
+    segments."""
+    text = sentence.store.text
+    segments = []
+    lo = sentence.first_token
+    for i in range(lo, sentence.end_token):
+        if text[i] == ",":  # only a punctuation token can be a comma
+            segments.append((lo, i))
+            lo = i + 1
+    segments.append((lo, sentence.end_token))
     return segments
 
 
-def _qualifies_as_lead(words: list[Token], lexicon: Lexicon) -> bool:
+def _countable(store: TokenStore, lo: int, hi: int) -> list[int]:
+    # Same notion of "word" as sentence word counts: words plus numbers.
+    kind = store.kind
+    return [i for i in range(lo, hi) if kind[i] < PUNCTUATION_CODE]
+
+
+def _qualifies_as_lead(store: TokenStore, lo: int, hi: int, lexicon: Lexicon) -> bool:
     # A lead segment opens with a subordinator or an -ing form, possibly
     # behind one extra word ("even though ...", "and listening ...").
-    for token in words[:2]:
-        w = token.text.lower()
+    words = [store.text[i] for i in range(lo, hi) if store.kind[i] == WORD_CODE]
+    for word in words[:2]:
+        w = word.lower()
         if lexicon.connector_class(w) is ConnectorClass.SUBORDINATING:
             return True
         if w.endswith("ing") and len(w) >= 5:
@@ -149,41 +151,41 @@ def _qualifies_as_lead(words: list[Token], lexicon: Lexicon) -> bool:
 def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S103: the subject-verb core is interrupted by a long comma insertion,
     or delayed past max_delay_words of leading clauses."""
-    lexicon = doc.lexicon
+    lexicon, store = doc.lexicon, doc.store
     out = []
     for sentence in doc.iter_sentences():
         segments = _comma_segments(sentence)
         if len(segments) >= 3:
-            prefix = _countable(segments[0])
+            prefix = _countable(store, *segments[0])
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
-                    and lexicon.connector_class(prefix[0].text) is ConnectorClass.NONE):
-                insertion = _countable(segments[1])
-                resumes = any(_countable(seg) for seg in segments[2:])
+                    and lexicon.connector_class(store.text[prefix[0]]) is ConnectorClass.NONE):
+                insertion = _countable(store, *segments[1])
+                resumes = any(_countable(store, *seg) for seg in segments[2:])
                 if len(insertion) >= cfg.min_insertion_words and resumes:
                     out.append(Diagnostic(
                         "S103", sentence.span,
                         len(insertion), cfg.min_insertion_words,
                         f"subject-verb core interrupted by a "
                         f"{len(insertion)}-word insertion",
-                        (_cover(insertion),),
+                        (store.token_span(insertion[0], insertion[-1] + 1),),
                     ))
         if len(segments) >= 2:
             total = 0
-            lead_spans = []
-            for seg in segments:
-                countable = _countable(seg)
-                if countable and _qualifies_as_lead(_words(seg), lexicon):
+            leads = []
+            for lo, hi in segments:
+                countable = _countable(store, lo, hi)
+                if countable and _qualifies_as_lead(store, lo, hi, lexicon):
                     total += len(countable)
-                    lead_spans.append(_cover(countable))
+                    leads.append((countable[0], countable[-1] + 1))
                 else:
                     break
-            if lead_spans and total >= cfg.max_delay_words:
+            if leads and total >= cfg.max_delay_words:
                 out.append(Diagnostic(
                     "S103", sentence.span,
                     total, cfg.max_delay_words,
                     f"subject-verb core delayed by {total} words of "
                     f"leading clauses",
-                    tuple(lead_spans),
+                    tuple([store.token_span(i, j) for i, j in leads]),
                 ))
     return out
 
@@ -226,12 +228,14 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
     """S302: a paragraph of four or more sentences whose first sentence leads
     with numbers and never signals a point (no demonstrative, no connector in
     the opening window)."""
+    store = doc.store
     out = []
     for paragraph in doc.iter_paragraphs():
         if len(paragraph.sentences) < 4:
             continue
         first = paragraph.first_sentence
-        numbers = [t for t in first.tokens if t.kind == NUMBER]
+        numbers = [i for i in range(first.first_token, first.end_token)
+                   if store.kind[i] == NUMBER_CODE]
         if not numbers:
             continue
         if _signals_link(first, cfg, doc.lexicon):
@@ -240,7 +244,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
             "S302", first.span, len(numbers), 0,
             "paragraph opens on numeric detail; open with the point the "
             "numbers support",
-            tuple(t.span for t in numbers),
+            tuple([store.token_span(i) for i in numbers]),
         ))
     return out
 
@@ -297,24 +301,24 @@ def detect_footnote_overload(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
 def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S701: an intensity word family (adjective and adverb pooled) used more
     often than intensity_per_page."""
-    lexicon = doc.lexicon
+    lexicon, store = doc.lexicon, doc.store
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
-    families: dict[str, list[Token]] = {}
-    for sentence in doc.iter_sentences():
-        for token in sentence.words:
-            if lexicon.is_intensity_word(token.text):
-                families.setdefault(lexicon.intensity_family(token.text), []).append(token)
+    # The store holds exactly the words of the document's sentences, in order.
+    families: dict[str, list[int]] = {}
+    for i, word in enumerate(store.word_text):
+        if lexicon.is_intensity_word(word):
+            families.setdefault(lexicon.intensity_family(word), []).append(i)
     out = []
-    for family, tokens in families.items():
-        rate = len(tokens) / pages
+    for family, hits in families.items():
+        rate = len(hits) / pages
         if rate > cfg.intensity_per_page:
             out.append(Diagnostic(
-                "S701", tokens[0].span, rate, cfg.intensity_per_page,
-                f"'{family}' and kin appear {len(tokens)} times in an estimated "
+                "S701", store.word_span(hits[0]), rate, cfg.intensity_per_page,
+                f"'{family}' and kin appear {len(hits)} times in an estimated "
                 f"{pages:.1f} pages; swapping in synonyms will not help",
-                tuple(t.span for t in tokens),
+                tuple([store.word_span(i) for i in hits]),
             ))
     return out
 
@@ -322,29 +326,31 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
 def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S702: superlatives (including "most <content word>") denser than
     superlative_per_page; praise standing in for argument."""
-    lexicon = doc.lexicon
+    lexicon, store = doc.lexicon, doc.store
+    words = store.word_text
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
-    spans: list[Span] = []
+    hits: list[tuple[int, int]] = []  # word index ranges
     for sentence in doc.iter_sentences():
-        words = sentence.words
-        for i, token in enumerate(words):
-            if lexicon.is_superlative(token.text):
-                spans.append(token.span)
-            elif (token.text.lower() == "most" and i + 1 < len(words)
-                  and not lexicon.is_stopword(words[i + 1].text)):
-                spans.append(_cover(words[i:i + 2]))
-    if not spans:
+        hi = sentence.end_word
+        for i in range(sentence.first_word, hi):
+            if lexicon.is_superlative(words[i]):
+                hits.append((i, i + 1))
+            elif (words[i].lower() == "most" and i + 1 < hi
+                  and not lexicon.is_stopword(words[i + 1])):
+                hits.append((i, i + 2))
+    if not hits:
         return []
-    rate = len(spans) / pages
+    rate = len(hits) / pages
     if rate <= cfg.superlative_per_page:
         return []
+    spans = tuple([store.word_span(i, j) for i, j in hits])
     return [Diagnostic(
         "S702", spans[0], rate, cfg.superlative_per_page,
-        f"{len(spans)} superlatives in an estimated {pages:.1f} pages reads "
+        f"{len(hits)} superlatives in an estimated {pages:.1f} pages reads "
         f"as rhetoric; answer the reader's logical questions instead",
-        tuple(spans),
+        spans,
     )]
 
 

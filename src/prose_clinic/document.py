@@ -15,11 +15,21 @@ Conventions the rest of the package relies on:
   never inside decimals and never after a known abbreviation;
 * footnote bodies are kept out of the body text, so they never feed the
   sentence and paragraph statistics.
+
+Tokens are not stored as objects. One parse fills a single TokenStore: flat
+arrays of every body token's text, start offset and kind code, plus the WORD
+tokens' texts and starts and the content stems. A Sentence holds its span,
+its word count and index ranges into that store. ``Sentence.tokens``,
+``Sentence.words`` and ``Sentence.stems`` are views built on each access;
+the detectors read the flat arrays instead and build a Span only for what
+they report. A token's line and column are found only when its span is
+built (``_LineIndex.span``).
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -30,6 +40,11 @@ WORD = "word"
 NUMBER = "number"
 PUNCTUATION = "punctuation"
 FOOTNOTE_MARKER = "footnote_marker"
+
+# Kind codes of the token store: KINDS[code] is the kind's name. WORD and
+# NUMBER come first, so a code below PUNCTUATION_CODE marks a counted word.
+KINDS = (WORD, NUMBER, PUNCTUATION, FOOTNOTE_MARKER)
+WORD_CODE, NUMBER_CODE, PUNCTUATION_CODE, MARKER_CODE = range(len(KINDS))
 
 PLAIN = "plain"
 MARKDOWN = "markdown"
@@ -71,17 +86,144 @@ class Token:
     span: Span
 
 
+# Digit groups may join on . or , ("0.35", "200,000"); alphanumeric runs may
+# join on hyphens or apostrophes.
+_UNIT = r"(?:\d+(?:[.,]\d+)+|[^\W_]+)"
+_TOKEN_RE = re.compile(
+    r"(?P<marker>\[\^[^\]\s]+\])"
+    rf"|(?P<wordish>{_UNIT}(?:[-‐‑'’]{_UNIT})*)"
+    r"|(?P<punct>\S)"
+)
+_HAS_LETTER_RE = re.compile(r"[^\W\d_]")
+_TERMINATOR_RE = re.compile(r"[.!?]+")
+_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
+_FOOTNOTE_DEF_RE = re.compile(r"^\[\^([^\]\s]+)\]:\s?(.*)$")
+
+
+class _LineIndex:
+    """The offsets at which the source's lines start."""
+
+    def __init__(self, text: str):
+        self.starts = [0]
+        self.starts += [m.end() for m in re.finditer("\n", text)]
+
+    def span(self, start: int, end: int) -> Span:
+        """The Span of [start, end), with the 1-based line and column of its
+        start."""
+        i = bisect_right(self.starts, start) - 1
+        return Span(start, end, i + 1, start - self.starts[i] + 1)
+
+
+class TokenStore:
+    """Every token of one parse in flat arrays, in source order.
+
+    Token i is ``text[i]`` at offsets ``[start[i], start[i] + len(text[i]))``
+    with kind ``KINDS[kind[i]]``. The WORD tokens are repeated in
+    ``word_text`` and ``word_start``, and ``stems`` holds the content stems
+    (see content_stems). The arrays are kept per document, not per sentence:
+    thousands of small per-sentence tuples, once freed, stay on CPython's
+    tuple free lists, which only a generation-2 collection clears, and the
+    parse no longer triggers one.
+    """
+
+    __slots__ = ("lines", "text", "start", "kind", "word_text", "word_start", "stems")
+
+    def __init__(self, source: str):
+        self.lines = _LineIndex(source)
+        self.text: list[str] = []
+        self.start = array("l")
+        self.kind = bytearray()
+        self.word_text: list[str] = []
+        self.word_start = array("l")
+        self.stems: list[str] = []
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TokenStore):
+            return NotImplemented
+        # The sentences of one document share its store; comparing them
+        # should not walk the arrays.
+        return self is other or (
+            self.lines.starts == other.lines.starts
+            and all(getattr(self, name) == getattr(other, name)
+                    for name in self.__slots__[1:]))
+
+    def scan(self, source: str, start: int, end: int) -> int:
+        """Append the tokens of source[start:end]; returns how many of them
+        are words (WORD plus NUMBER tokens)."""
+        text, starts, kinds = self.text, self.start, self.kind
+        words = 0
+        for m in _TOKEN_RE.finditer(source, start, end):
+            token, pos = m.group(), m.start()
+            text.append(token)
+            starts.append(pos)
+            if m.lastgroup == "wordish":
+                words += 1
+                if _HAS_LETTER_RE.search(token):
+                    kinds.append(WORD_CODE)
+                    self.word_text.append(token)
+                    self.word_start.append(pos)
+                else:
+                    kinds.append(NUMBER_CODE)
+            elif m.lastgroup == "marker":
+                kinds.append(MARKER_CODE)
+            else:
+                kinds.append(PUNCTUATION_CODE)
+        return words
+
+    def token_span(self, i: int, j: int | None = None) -> Span:
+        """The Span from token i through token j - 1 (token i alone by
+        default)."""
+        last = i if j is None else j - 1
+        return self.lines.span(self.start[i], self.start[last] + len(self.text[last]))
+
+    def word_span(self, i: int, j: int | None = None) -> Span:
+        """The Span from word i through word j - 1 (word i alone by
+        default)."""
+        last = i if j is None else j - 1
+        return self.lines.span(self.word_start[i],
+                               self.word_start[last] + len(self.word_text[last]))
+
+    def tokens(self, lo: int, hi: int) -> list[Token]:
+        return [Token(self.text[i], KINDS[self.kind[i]], self.token_span(i))
+                for i in range(lo, hi)]
+
+    def words(self, lo: int, hi: int) -> list[Token]:
+        return [Token(self.word_text[i], WORD, self.word_span(i)) for i in range(lo, hi)]
+
+
 @dataclass(frozen=True)
 class Sentence:
-    """A sentence with its word view, computed once at parse: the WORD
-    tokens, the word count (WORD plus NUMBER tokens) and the content stems
-    (see content_stems)."""
+    """A sentence: its span, its word count (WORD plus NUMBER tokens) and
+    the index ranges [first, end) of its tokens, words and content stems in
+    the parse's TokenStore.
+
+    tokens, words and stems are views built on each access; code that walks
+    many sentences reads the store's arrays instead.
+    """
 
     span: Span
-    tokens: tuple[Token, ...]
-    words: tuple[Token, ...]
     word_count: int
-    stems: tuple[str, ...]
+    store: TokenStore = field(repr=False, hash=False)
+    first_token: int
+    end_token: int
+    first_word: int
+    end_word: int
+    first_stem: int
+    end_stem: int
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(self.store.tokens(self.first_token, self.end_token))
+
+    @property
+    def words(self) -> tuple[Token, ...]:
+        """The WORD tokens."""
+        return tuple(self.store.words(self.first_word, self.end_word))
+
+    @property
+    def stems(self) -> tuple[str, ...]:
+        """The content stems, in order and with repeats (see content_stems)."""
+        return tuple(self.store.stems[self.first_stem:self.end_stem])
 
 
 @dataclass(frozen=True)
@@ -122,6 +264,8 @@ class Document:
     # The lexicon the document was parsed with; every analysis reads its word
     # classes from here, so that they agree with the stems and sentence splits.
     lexicon: Lexicon = field(repr=False)
+    # The flat token arrays the sentences index into (see TokenStore).
+    store: TokenStore = field(repr=False, compare=False)
     words_per_page: int = DEFAULT_WORDS_PER_PAGE
 
     @property
@@ -137,54 +281,12 @@ class Document:
             yield from paragraph.sentences
 
 
-# Digit groups may join on . or , ("0.35", "200,000"); alphanumeric runs may
-# join on hyphens or apostrophes.
-_UNIT = r"(?:\d+(?:[.,]\d+)+|[^\W_]+)"
-_TOKEN_RE = re.compile(
-    r"(?P<marker>\[\^[^\]\s]+\])"
-    rf"|(?P<wordish>{_UNIT}(?:[-‐‑'’]{_UNIT})*)"
-    r"|(?P<punct>\S)"
-)
-_HAS_LETTER_RE = re.compile(r"[^\W\d_]")
-_TERMINATOR_RE = re.compile(r"[.!?]+")
-_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
-_FOOTNOTE_DEF_RE = re.compile(r"^\[\^([^\]\s]+)\]:\s?(.*)$")
-
-
-class _LineIndex:
-    """Maps an offset to its 1-based (line, column)."""
-
-    def __init__(self, text: str):
-        starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
-        self._starts = starts
-
-    def locate(self, pos: int) -> tuple[int, int]:
-        i = bisect_right(self._starts, pos) - 1
-        return i + 1, pos - self._starts[i] + 1
-
-
-def _scan_tokens(source: str, start: int, end: int, index: _LineIndex) -> tuple[Token, ...]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(source, start, end):
-        text = m.group()
-        if m.lastgroup == "marker":
-            kind = FOOTNOTE_MARKER
-        elif m.lastgroup == "wordish":
-            kind = WORD if _HAS_LETTER_RE.search(text) else NUMBER
-        else:
-            kind = PUNCTUATION
-        line, column = index.locate(m.start())
-        tokens.append(Token(text, kind, Span(m.start(), m.end(), line, column)))
-    return tuple(tokens)
-
-
 def tokenize(text: str) -> list[Token]:
     """Tokenize text into word, number, punctuation, and footnote-marker
     tokens with exact spans."""
-    return list(_scan_tokens(text, 0, len(text), _LineIndex(text)))
+    store = TokenStore(text)
+    store.scan(text, 0, len(text))
+    return store.tokens(0, len(store.text))
 
 
 def _ends_with_abbreviation(source: str, end: int, abbreviations) -> bool:
@@ -227,23 +329,29 @@ def _sentence_bounds(source: str, start: int, end: int, abbreviations) -> list[t
     return bounds
 
 
-def content_stems(words, lexicon: Lexicon) -> tuple[str, ...]:
-    """Stems of the content (non-stopword) words among WORD tokens, in order
-    and with repeats, so that counts over them keep their multiplicity."""
-    return tuple(stem(t.text) for t in words if not lexicon.is_stopword(t.text))
+def content_stems(words, lexicon: Lexicon) -> list[str]:
+    """Stems of the content (non-stopword) words among the given word texts,
+    in order and with repeats, so that counts over them keep their
+    multiplicity."""
+    # A list comprehension, not tuple(<generator>): CPython builds the latter
+    # in a 10-slot tuple and shrinks it, so one call per sentence would leave
+    # a tuple on a free list of another size each time.
+    return [stem(w) for w in words if not lexicon.is_stopword(w)]
 
 
-def _build_sentences(source: str, start: int, end: int, index: _LineIndex,
+def _build_sentences(source: str, start: int, end: int, store: TokenStore,
                      lexicon: Lexicon) -> tuple[Sentence, ...]:
     sentences = []
     for s, e in _sentence_bounds(source, start, end, lexicon.abbreviations):
-        tokens = _scan_tokens(source, s, e, index)
-        words = tuple(t for t in tokens if t.kind == WORD)
-        line, column = index.locate(s)
+        first_token, first_word, first_stem = (
+            len(store.text), len(store.word_text), len(store.stems))
+        word_count = store.scan(source, s, e)
+        store.stems += content_stems(store.word_text[first_word:], lexicon)
         sentences.append(Sentence(
-            Span(s, e, line, column), tokens, words,
-            sum(1 for t in tokens if t.kind in (WORD, NUMBER)),
-            content_stems(words, lexicon),
+            store.lines.span(s, e), word_count, store,
+            first_token, len(store.text),
+            first_word, len(store.word_text),
+            first_stem, len(store.stems),
         ))
     return tuple(sentences)
 
@@ -252,8 +360,8 @@ def segment_sentences(paragraph_text: str, lexicon: Lexicon | None = None) -> li
     """Split one paragraph's text into sentences; spans index into the given
     text."""
     lexicon = lexicon or default_lexicon()
-    index = _LineIndex(paragraph_text)
-    return list(_build_sentences(paragraph_text, 0, len(paragraph_text), index, lexicon))
+    store = TokenStore(paragraph_text)
+    return list(_build_sentences(paragraph_text, 0, len(paragraph_text), store, lexicon))
 
 
 def parse_document(source: str, format: str = MARKDOWN, *,
@@ -269,7 +377,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     if words_per_page < 1:
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
-    index = _LineIndex(source)
+    store = TokenStore(source)
+    lines = store.lines
 
     sections: list[dict] = []
     block: list[tuple[int, int]] = []
@@ -283,16 +392,13 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         nonlocal block
         if not block:
             return
-        lines, block = block, []
+        rows, block = block, []
         # Block lines are never blank, so there is at least one sentence.
-        sentences = _build_sentences(source, lines[0][0], lines[-1][1], index, lexicon)
+        sentences = _build_sentences(source, rows[0][0], rows[-1][1], store, lexicon)
         if not sections:
             open_section(0, "")
-        first, last = sentences[0].span, sentences[-1].span
-        sections[-1]["paragraphs"].append(
-            Paragraph(Span(first.start_byte, last.end_byte, first.line, first.column),
-                      sentences)
-        )
+        span = lines.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
+        sections[-1]["paragraphs"].append(Paragraph(span, sentences))
 
     offset = 0
     for raw_line in source.split("\n"):
@@ -320,8 +426,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                 if fid in defs:
                     raise DocumentStructureError(
                         f"duplicate footnote definition [^{fid}]", fid, defs[fid])
-                bline, bcol = index.locate(body_start)
-                defs[fid] = Span(body_start, body_start + len(body), bline, bcol)
+                defs[fid] = lines.span(body_start, body_start + len(body))
                 def_order.append(fid)
                 continue
         block.append((line_start, line_end))
@@ -336,20 +441,17 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     footnotes: list[Footnote] = []
     if format == MARKDOWN:
         seen: set[str] = set()
-        for section in built_sections:
-            for paragraph in section.paragraphs:
-                for sentence in paragraph.sentences:
-                    for token in sentence.tokens:
-                        if token.kind != FOOTNOTE_MARKER:
-                            continue
-                        fid = token.text[2:-1]
-                        if fid not in defs:
-                            raise DocumentStructureError(
-                                f"footnote marker [^{fid}] has no definition",
-                                fid, token.span)
-                        if fid not in seen:
-                            seen.add(fid)
-                            footnotes.append(Footnote(fid, token.span, defs[fid]))
+        i = store.kind.find(MARKER_CODE)
+        while i != -1:
+            fid = store.text[i][2:-1]
+            if fid not in defs:
+                raise DocumentStructureError(
+                    f"footnote marker [^{fid}] has no definition",
+                    fid, store.token_span(i))
+            if fid not in seen:
+                seen.add(fid)
+                footnotes.append(Footnote(fid, store.token_span(i), defs[fid]))
+            i = store.kind.find(MARKER_CODE, i + 1)
         for fid in def_order:
             if fid not in seen:
                 raise DocumentStructureError(
@@ -364,6 +466,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         footnotes=tuple(footnotes),
         total_words=total,
         lexicon=lexicon,
+        store=store,
         words_per_page=words_per_page,
     )
 

@@ -230,6 +230,8 @@ def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
             lines = fh.readlines()
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -99,7 +99,7 @@ def extract_keywords(doc: Document, cfg: AnalysisConfig) -> KeywordProfile:
     counts: Counter[str] = Counter()
     if doc.sections:
         opening = doc.sections[0]
-        heading = [t for t in tokenize(opening.heading_text) if t.kind == WORD]
+        heading = [t.text for t in tokenize(opening.heading_text) if t.kind == WORD]
         counts.update(content_stems(heading, doc.lexicon))
         for paragraph in opening.paragraphs[:2]:
             for sentence in paragraph.sentences:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from prose_clinic.cli import run
+from prose_clinic.config import AnalysisConfig
 from prose_clinic.reporting import parse_machine
 
 from docbuild import FILLER, FILLER_SHORT, paragraphs
@@ -212,6 +213,43 @@ def test_unreadable_lexicon_exits_two_without_traceback(tmp_path, capsys, name):
     assert lexicon in out.err
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+def test_non_utf8_lexicon_is_named(tmp_path, capsys):
+    lexicon = tmp_path / "bad.lex"
+    lexicon.write_bytes(b"[superlatives]\ncaf\xe9\n")
+    path = write(tmp_path, "ok.txt", FILLER + "\n")
+    assert run(["analyze", "--lexicon", str(lexicon), path]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"clinic: {lexicon}: ")
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_non_utf8_config_is_named(tmp_path, capsys):
+    cfg = tmp_path / "clinic.cfg"
+    cfg.write_bytes(b"max_sentence_words = 10  # caf\xe9\n")
+    path = write(tmp_path, "ok.txt", FILLER + "\n")
+    assert run(["analyze", "--config", str(cfg), path]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"clinic: {cfg}: ")
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_calls_in_one_process_see_only_their_own_flags(tmp_path, capsys):
+    # The argument parser is built once per process and shared by the calls.
+    doc = write(tmp_path, "doc.txt", FIRESIDE_GOOD + "\n")
+    machine = ["analyze", "--output", "machine"]
+    assert run(machine + ["--max-sentence-words", "10", doc]) == 1
+    first = parse_machine(capsys.readouterr().out)
+    assert run(machine + ["--max-paragraph-sentences", "2", doc]) == 0
+    second = parse_machine(capsys.readouterr().out)
+    assert run(machine + [doc]) == 0
+    third = parse_machine(capsys.readouterr().out)
+    assert (first.config.max_sentence_words, first.config.max_paragraph_sentences) == (10, 6)
+    assert (second.config.max_sentence_words, second.config.max_paragraph_sentences) == (25, 2)
+    assert third.config == AnalysisConfig()
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,22 @@ from prose_clinic.lexicon import stem
 from prose_clinic.maladies import infer_maladies
 from prose_clinic.reporting import build_report, parse_machine, render_machine
 
-from passages import WORD_COUNT_ORACLE, STROSIS_UNLINKED
+from docbuild import INTENSITY_ADJ, INTENSITY_ADV
+from passages import (
+    DETAIL_FIRST_PARAGRAPH,
+    FIRESIDE_DELAYED,
+    FIRESIDE_INTERRUPTED,
+    FIRST_TO_STUDY,
+    LORIMETER_ORIGINAL,
+    RATE_ORIGINAL,
+    STORYLINE_BROKEN_OPENERS,
+    STROSIS_UNLINKED,
+    SUPERLATIVE_PASSAGE,
+    TELERIUM_ORIGINAL,
+    TOPICS_ORIGINAL,
+    TRAIL_ORIGINAL,
+    WORD_COUNT_ORACLE,
+)
 
 
 @pytest.mark.parametrize("text,expected", WORD_COUNT_ORACLE)
@@ -344,3 +361,49 @@ def test_machine_report_round_trips_for_arbitrary_text(text, fmt):
     diagnostics = run_all(doc, cfg)
     report = build_report("doc", cfg, diagnostics, infer_maladies(doc, diagnostics, cfg))
     assert parse_machine(render_machine(report)) == report
+
+
+# Passages that trip the rules, so that the detectors and maladies report
+# spans; mixed with _TEXT, whose pieces bring CRLF, "İ" and combining marks.
+_RULE_PASSAGES = [
+    TELERIUM_ORIGINAL, TRAIL_ORIGINAL, TOPICS_ORIGINAL, RATE_ORIGINAL,
+    LORIMETER_ORIGINAL, FIRST_TO_STUDY, STROSIS_UNLINKED, FIRESIDE_INTERRUPTED,
+    FIRESIDE_DELAYED, DETAIL_FIRST_PARAGRAPH, SUPERLATIVE_PASSAGE,
+    INTENSITY_ADJ, INTENSITY_ADV, *STORYLINE_BROKEN_OPENERS,
+]
+_RULE_TEXT = st.lists(st.one_of(_TEXT, st.sampled_from(_RULE_PASSAGES)),
+                      max_size=8).map("".join)
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS))
+def test_reported_spans_are_sound(text, fmt):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    cfg = AnalysisConfig()
+    diagnostics = run_all(doc, cfg)
+    spans = [span for d in diagnostics for span in (d.span, *d.evidence)]
+    spans += [ref.span for finding in infer_maladies(doc, diagnostics, cfg)
+              for ref in finding.evidence]
+    for span in spans:
+        assert 0 <= span.start_byte < span.end_byte <= len(text)
+        assert text[span.start_byte:span.end_byte]
+        _recount(text, span)
+
+
+def test_parse_holds_few_tracked_objects_per_sentence():
+    # Tokens live in flat per-document arrays, so the objects the cyclic GC
+    # tracks grow with sentences and paragraphs, not with tokens.
+    text = "\n\n".join(_RULE_PASSAGES * 150)
+    assert len(text) > 250_000
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        doc = parse_document(text, "plain")
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    sentences = sum(1 for _ in doc.iter_sentences())
+    assert held / sentences < 5
