@@ -15,7 +15,6 @@ from .document import (
     Span,
     Token,
     parse_document,
-    segment_sentences,
     tokenize,
 )
 from .lexicon import (
@@ -28,7 +27,6 @@ from .lexicon import (
 )
 from .maladies import (
     EvidenceRef,
-    KeywordProfile,
     MaladyFinding,
     MaladyKind,
     extract_keywords,
@@ -54,7 +52,6 @@ __all__ = [
     "DocumentStructureError",
     "EvidenceRef",
     "Footnote",
-    "KeywordProfile",
     "Lexicon",
     "LexiconError",
     "MaladyFinding",
@@ -84,7 +81,6 @@ __all__ = [
     "render_machine",
     "run_all",
     "section_relevance",
-    "segment_sentences",
     "stem",
     "tokenize",
 ]

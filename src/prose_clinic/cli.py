@@ -109,8 +109,8 @@ def run(argv=None) -> int:
                 failed = True
                 continue
             diagnostics = run_all(doc, cfg, rules=rules)
-            profile = extract_keywords(doc, cfg)
-            findings = infer_maladies(doc, diagnostics, cfg, profile)
+            keywords = extract_keywords(doc, cfg)
+            findings = infer_maladies(doc, diagnostics, cfg, keywords)
             report = build_report(path, cfg, diagnostics, findings)
             if args.output == "machine":
                 sys.stdout.write(render_machine(report))

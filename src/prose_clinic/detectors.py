@@ -64,7 +64,7 @@ def _pages(doc: Document, cfg: AnalysisConfig) -> float:
 
 
 def _document_span(doc: Document) -> Span:
-    return doc.store.lines.span(0, len(doc.source))
+    return doc.store.span(0, len(doc.source))
 
 
 def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
@@ -115,30 +115,23 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _comma_segments(sentence: Sentence) -> list[tuple[int, int]]:
-    """Token index ranges [lo, hi) of the sentence's comma-separated
-    segments."""
-    text = sentence.store.text
-    segments = []
-    lo = sentence.first_token
-    for i in range(lo, sentence.end_token):
-        if text[i] == ",":  # only a punctuation token can be a comma
-            segments.append((lo, i))
-            lo = i + 1
-    segments.append((lo, sentence.end_token))
+def _comma_segments(sentence: Sentence) -> list[list[int]]:
+    """For each of the sentence's comma-separated segments, the indices of
+    its countable tokens: words plus numbers, as in sentence word counts."""
+    text, kind = sentence.store.text, sentence.store.kind
+    segments: list[list[int]] = [[]]
+    for i in range(sentence.first_token, sentence.end_token):
+        if kind[i] < PUNCTUATION_CODE:
+            segments[-1].append(i)
+        elif text[i] == ",":
+            segments.append([])
     return segments
 
 
-def _countable(store: TokenStore, lo: int, hi: int) -> list[int]:
-    # Same notion of "word" as sentence word counts: words plus numbers.
-    kind = store.kind
-    return [i for i in range(lo, hi) if kind[i] < PUNCTUATION_CODE]
-
-
-def _qualifies_as_lead(store: TokenStore, lo: int, hi: int, lexicon: Lexicon) -> bool:
+def _qualifies_as_lead(store: TokenStore, segment: list[int], lexicon: Lexicon) -> bool:
     # A lead segment opens with a subordinator or an -ing form, possibly
     # behind one extra word ("even though ...", "and listening ...").
-    words = [store.text[i] for i in range(lo, hi) if store.kind[i] == WORD_CODE]
+    words = [store.text[i] for i in segment if store.kind[i] == WORD_CODE]
     for word in words[:2]:
         w = word.lower()
         if lexicon.connector_class(w) is ConnectorClass.SUBORDINATING:
@@ -156,27 +149,25 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     for sentence in doc.iter_sentences():
         segments = _comma_segments(sentence)
         if len(segments) >= 3:
-            prefix = _countable(store, *segments[0])
+            prefix, insertion = segments[0], segments[1]
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
-                    and lexicon.connector_class(store.text[prefix[0]]) is ConnectorClass.NONE):
-                insertion = _countable(store, *segments[1])
-                resumes = any(_countable(store, *seg) for seg in segments[2:])
-                if len(insertion) >= cfg.min_insertion_words and resumes:
-                    out.append(Diagnostic(
-                        "S103", sentence.span,
-                        len(insertion), cfg.min_insertion_words,
-                        f"subject-verb core interrupted by a "
-                        f"{len(insertion)}-word insertion",
-                        (store.token_span(insertion[0], insertion[-1] + 1),),
-                    ))
+                    and lexicon.connector_class(store.text[prefix[0]]) is ConnectorClass.NONE
+                    and len(insertion) >= cfg.min_insertion_words
+                    and any(segments[2:])):
+                out.append(Diagnostic(
+                    "S103", sentence.span,
+                    len(insertion), cfg.min_insertion_words,
+                    f"subject-verb core interrupted by a "
+                    f"{len(insertion)}-word insertion",
+                    (store.token_span(insertion[0], insertion[-1] + 1),),
+                ))
         if len(segments) >= 2:
             total = 0
             leads = []
-            for lo, hi in segments:
-                countable = _countable(store, lo, hi)
-                if countable and _qualifies_as_lead(store, lo, hi, lexicon):
-                    total += len(countable)
-                    leads.append((countable[0], countable[-1] + 1))
+            for segment in segments:
+                if segment and _qualifies_as_lead(store, segment, lexicon):
+                    total += len(segment)
+                    leads.append((segment[0], segment[-1] + 1))
                 else:
                     break
             if leads and total >= cfg.max_delay_words:
@@ -233,7 +224,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
     for paragraph in doc.iter_paragraphs():
         if len(paragraph.sentences) < 4:
             continue
-        first = paragraph.first_sentence
+        first = paragraph.sentences[0]
         numbers = [i for i in range(first.first_token, first.end_token)
                    if store.kind[i] == NUMBER_CODE]
         if not numbers:
@@ -254,7 +245,7 @@ def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnosti
     content stem; the storyline of openers breaks there."""
     out = []
     for section in doc.sections:
-        openers = [p.first_sentence for p in section.paragraphs]
+        openers = [p.sentences[0] for p in section.paragraphs]
         for prev, cur in zip(openers, openers[1:]):
             if set(prev.stems).isdisjoint(cur.stems):
                 out.append(Diagnostic(

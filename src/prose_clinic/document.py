@@ -23,7 +23,7 @@ its word count and index ranges into that store. ``Sentence.tokens``,
 ``Sentence.words`` and ``Sentence.stems`` are views built on each access;
 the detectors read the flat arrays instead and build a Span only for what
 they report. A token's line and column are found only when its span is
-built (``_LineIndex.span``).
+built (``TokenStore.span``).
 """
 
 from __future__ import annotations
@@ -100,20 +100,6 @@ _HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
 _FOOTNOTE_DEF_RE = re.compile(r"^\[\^([^\]\s]+)\]:\s?(.*)$")
 
 
-class _LineIndex:
-    """The offsets at which the source's lines start."""
-
-    def __init__(self, text: str):
-        self.starts = [0]
-        self.starts += [m.end() for m in re.finditer("\n", text)]
-
-    def span(self, start: int, end: int) -> Span:
-        """The Span of [start, end), with the 1-based line and column of its
-        start."""
-        i = bisect_right(self.starts, start) - 1
-        return Span(start, end, i + 1, start - self.starts[i] + 1)
-
-
 class TokenStore:
     """Every token of one parse in flat arrays, in source order.
 
@@ -126,10 +112,12 @@ class TokenStore:
     parse no longer triggers one.
     """
 
-    __slots__ = ("lines", "text", "start", "kind", "word_text", "word_start", "stems")
+    __slots__ = ("line_starts", "text", "start", "kind", "word_text", "word_start", "stems")
 
     def __init__(self, source: str):
-        self.lines = _LineIndex(source)
+        # The offsets at which the source's lines start.
+        self.line_starts = [0]
+        self.line_starts += [m.end() for m in re.finditer("\n", source)]
         self.text: list[str] = []
         self.start = array("l")
         self.kind = bytearray()
@@ -142,10 +130,8 @@ class TokenStore:
             return NotImplemented
         # The sentences of one document share its store; comparing them
         # should not walk the arrays.
-        return self is other or (
-            self.lines.starts == other.lines.starts
-            and all(getattr(self, name) == getattr(other, name)
-                    for name in self.__slots__[1:]))
+        return self is other or all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def scan(self, source: str, start: int, end: int) -> int:
         """Append the tokens of source[start:end]; returns how many of them
@@ -170,18 +156,24 @@ class TokenStore:
                 kinds.append(PUNCTUATION_CODE)
         return words
 
+    def span(self, start: int, end: int) -> Span:
+        """The Span of [start, end), with the 1-based line and column of its
+        start."""
+        i = bisect_right(self.line_starts, start) - 1
+        return Span(start, end, i + 1, start - self.line_starts[i] + 1)
+
     def token_span(self, i: int, j: int | None = None) -> Span:
         """The Span from token i through token j - 1 (token i alone by
         default)."""
         last = i if j is None else j - 1
-        return self.lines.span(self.start[i], self.start[last] + len(self.text[last]))
+        return self.span(self.start[i], self.start[last] + len(self.text[last]))
 
     def word_span(self, i: int, j: int | None = None) -> Span:
         """The Span from word i through word j - 1 (word i alone by
         default)."""
         last = i if j is None else j - 1
-        return self.lines.span(self.word_start[i],
-                               self.word_start[last] + len(self.word_text[last]))
+        return self.span(self.word_start[i],
+                         self.word_start[last] + len(self.word_text[last]))
 
     def tokens(self, lo: int, hi: int) -> list[Token]:
         return [Token(self.text[i], KINDS[self.kind[i]], self.token_span(i))
@@ -234,10 +226,6 @@ class Paragraph:
     @property
     def word_count(self) -> int:
         return sum(s.word_count for s in self.sentences)
-
-    @property
-    def first_sentence(self) -> Sentence:
-        return self.sentences[0]
 
 
 @dataclass(frozen=True)
@@ -348,20 +336,12 @@ def _build_sentences(source: str, start: int, end: int, store: TokenStore,
         word_count = store.scan(source, s, e)
         store.stems += content_stems(store.word_text[first_word:], lexicon)
         sentences.append(Sentence(
-            store.lines.span(s, e), word_count, store,
+            store.span(s, e), word_count, store,
             first_token, len(store.text),
             first_word, len(store.word_text),
             first_stem, len(store.stems),
         ))
     return tuple(sentences)
-
-
-def segment_sentences(paragraph_text: str, lexicon: Lexicon | None = None) -> list[Sentence]:
-    """Split one paragraph's text into sentences; spans index into the given
-    text."""
-    lexicon = lexicon or default_lexicon()
-    store = TokenStore(paragraph_text)
-    return list(_build_sentences(paragraph_text, 0, len(paragraph_text), store, lexicon))
 
 
 def parse_document(source: str, format: str = MARKDOWN, *,
@@ -378,12 +358,10 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
-    lines = store.lines
 
     sections: list[dict] = []
     block: list[tuple[int, int]] = []
     defs: dict[str, Span] = {}
-    def_order: list[str] = []
 
     def open_section(level: int, heading: str) -> None:
         sections.append({"level": level, "heading": heading, "paragraphs": []})
@@ -397,7 +375,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         sentences = _build_sentences(source, rows[0][0], rows[-1][1], store, lexicon)
         if not sections:
             open_section(0, "")
-        span = lines.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
+        span = store.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
         sections[-1]["paragraphs"].append(Paragraph(span, sentences))
 
     offset = 0
@@ -426,8 +404,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                 if fid in defs:
                     raise DocumentStructureError(
                         f"duplicate footnote definition [^{fid}]", fid, defs[fid])
-                defs[fid] = lines.span(body_start, body_start + len(body))
-                def_order.append(fid)
+                defs[fid] = store.span(body_start, body_start + len(body))
                 continue
         block.append((line_start, line_end))
     flush_block()
@@ -452,7 +429,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                 seen.add(fid)
                 footnotes.append(Footnote(fid, store.token_span(i), defs[fid]))
             i = store.kind.find(MARKER_CODE, i + 1)
-        for fid in def_order:
+        for fid in defs:
             if fid not in seen:
                 raise DocumentStructureError(
                     f"footnote definition [^{fid}] has no marker in the text",

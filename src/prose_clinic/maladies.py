@@ -52,15 +52,6 @@ class MaladyFinding:
     narrative: str
 
 
-@dataclass(frozen=True)
-class KeywordProfile:
-    """Key terms of the opening, plus how often each section's first
-    paragraph repeats them (parallel to the document's sections)."""
-
-    keywords: tuple[str, ...]
-    section_overlaps: tuple[int, ...]
-
-
 _NARRATIVES = {
     MaladyKind.FAULTY_RAP: (
         "Size, apparatus, and emphasis are growing at the same time, which "
@@ -82,18 +73,18 @@ _NARRATIVES = {
 }
 
 
-def section_relevance(section: Section, profile: KeywordProfile) -> int:
-    """How many profile keywords the section's first paragraph repeats."""
-    if not profile.keywords:
+def section_relevance(section: Section, keywords: tuple[str, ...]) -> int:
+    """How many of the keywords the section's first paragraph repeats."""
+    if not keywords:
         return 0
     stems: set[str] = set()
     if section.paragraphs:
         for sentence in section.paragraphs[0].sentences:
             stems.update(sentence.stems)
-    return sum(1 for keyword in profile.keywords if keyword in stems)
+    return sum(1 for keyword in keywords if keyword in stems)
 
 
-def extract_keywords(doc: Document, cfg: AnalysisConfig) -> KeywordProfile:
+def extract_keywords(doc: Document, cfg: AnalysisConfig) -> tuple[str, ...]:
     """Rank content stems of the opening (first section's heading and first
     two paragraphs) by frequency, ties broken alphabetically."""
     counts: Counter[str] = Counter()
@@ -105,10 +96,7 @@ def extract_keywords(doc: Document, cfg: AnalysisConfig) -> KeywordProfile:
             for sentence in paragraph.sentences:
                 counts.update(sentence.stems)
     ranked = sorted(counts, key=lambda s: (-counts[s], s))
-    keywords = tuple(ranked[: cfg.keyword_count])
-    bare = KeywordProfile(keywords, ())
-    overlaps = tuple(section_relevance(sec, bare) for sec in doc.sections)
-    return KeywordProfile(keywords, overlaps)
+    return tuple(ranked[: cfg.keyword_count])
 
 
 def _locate_paragraph(starts, paragraphs, span: Span):
@@ -119,13 +107,13 @@ def _locate_paragraph(starts, paragraphs, span: Span):
 
 
 def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
-                   profile: KeywordProfile | None = None) -> list[MaladyFinding]:
+                   keywords: tuple[str, ...] | None = None) -> list[MaladyFinding]:
     """Derive malady findings from a diagnostic list. No symptoms, no
     maladies."""
     if not diagnostics:
         return []
-    if profile is None:
-        profile = extract_keywords(doc, cfg)
+    if keywords is None:
+        keywords = extract_keywords(doc, cfg)
     findings: list[MaladyFinding] = []
 
     # FaultyRAP: growth symptoms of several distinct kinds. Storyline breaks
@@ -168,11 +156,11 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
 
     # MissingRapRelevance: sections whose first paragraph repeats too few of
     # the opening's key terms.
-    if profile.keywords:
+    if keywords:
         candidates = [
-            section
-            for section, overlap in zip(doc.sections, profile.section_overlaps)
-            if section.paragraphs and overlap < cfg.min_keyword_overlap
+            section for section in doc.sections
+            if section.paragraphs
+            and section_relevance(section, keywords) < cfg.min_keyword_overlap
         ]
         if candidates:
             findings.append(MaladyFinding(

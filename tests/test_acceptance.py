@@ -226,7 +226,7 @@ def _full_render(text):
     doc = parse_document(text, MARKDOWN)
     diags = run_all(doc, CFG)
     findings = infer_maladies(doc, diags, CFG,
-                              profile=extract_keywords(doc, CFG))
+                              keywords=extract_keywords(doc, CFG))
     report = build_report("doc.md", CFG, diags, findings)
     return render_human(report) + render_machine(report)
 

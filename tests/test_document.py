@@ -14,7 +14,6 @@ from prose_clinic.document import (
     WORD,
     DocumentStructureError,
     parse_document,
-    segment_sentences,
     tokenize,
 )
 from prose_clinic.lexicon import stem
@@ -101,17 +100,21 @@ def test_token_line_and_column_are_one_based():
     assert (by_text["ef"].span.line, by_text["ef"].span.column) == (2, 1)
 
 
+def _sentences(text):
+    return list(parse_document(text, "plain").iter_sentences())
+
+
 def test_segmentation_of_short_linked_paragraph():
-    sentences = segment_sentences(STROSIS_UNLINKED)
+    sentences = _sentences(STROSIS_UNLINKED)
     assert len(sentences) == 4
     counts = [s.word_count for s in sentences]
     assert counts == [11, 11, 8, 10]
 
 
 def test_segmentation_ignores_decimals():
-    sentences = segment_sentences("The correlation is 0.35. It is low.")
+    sentences = _sentences("The correlation is 0.35. It is low.")
     assert len(sentences) == 2
-    sentences = segment_sentences("A rise of .25 can hurt. We checked.")
+    sentences = _sentences("A rise of .25 can hurt. We checked.")
     assert len(sentences) == 2
 
 
@@ -125,7 +128,7 @@ def test_segmentation_ignores_decimals():
     ],
 )
 def test_segmentation_does_not_split_after_abbreviations(text):
-    assert len(segment_sentences(text)) == 1
+    assert len(_sentences(text)) == 1
 
 
 def test_dotted_capital_i_does_not_shift_abbreviation_check():
@@ -135,19 +138,19 @@ def test_dotted_capital_i_does_not_shift_abbreviation_check():
 
 
 def test_segmentation_requires_capital_or_digit_after_terminator():
-    assert len(segment_sentences("it fell. then it rose.")) == 1
-    assert len(segment_sentences("It fell. 50 more followed.")) == 2
+    assert len(_sentences("it fell. then it rose.")) == 1
+    assert len(_sentences("It fell. 50 more followed.")) == 2
 
 
 def test_segmentation_without_terminator_yields_one_sentence():
-    sentences = segment_sentences("no terminator here")
+    sentences = _sentences("no terminator here")
     assert len(sentences) == 1
     assert sentences[0].word_count == 3
 
 
 def test_segmentation_of_empty_text():
-    assert segment_sentences("") == []
-    assert segment_sentences("   \n ") == []
+    assert _sentences("") == []
+    assert _sentences("   \n ") == []
 
 
 def test_empty_document():

@@ -5,7 +5,6 @@ from prose_clinic.detectors import run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
 from prose_clinic.maladies import (
     RELEVANCE_EVIDENCE,
-    KeywordProfile,
     MaladyKind,
     extract_keywords,
     infer_maladies,
@@ -165,37 +164,35 @@ SPORE_DOC = ("# Spore growth\n\n"
 
 def test_keywords_ranked_by_count_then_alphabetically():
     doc = parse_document(SPORE_DOC, MARKDOWN)
-    profile = extract_keywords(doc, CFG)
-    assert profile.keywords[:3] == ("spore", "growth", "tissue")
-    assert len(profile.keywords) == 9
-    assert profile.section_overlaps == (7,)
+    keywords = extract_keywords(doc, CFG)
+    assert keywords[:3] == ("spore", "growth", "tissue")
+    assert len(keywords) == 9
+    assert section_relevance(doc.sections[0], keywords) == 7
 
 
 def test_keyword_count_caps_the_profile():
     doc = parse_document(SPORE_DOC, MARKDOWN)
     cfg = dataclasses.replace(CFG, keyword_count=2)
-    assert extract_keywords(doc, cfg).keywords == ("spore", "growth")
+    assert extract_keywords(doc, cfg) == ("spore", "growth")
 
 
 def test_keywords_of_empty_document():
     doc = parse_document("", MARKDOWN)
-    profile = extract_keywords(doc, CFG)
-    assert profile.keywords == ()
-    assert profile.section_overlaps == (0,)
+    keywords = extract_keywords(doc, CFG)
+    assert keywords == ()
+    assert section_relevance(doc.sections[0], keywords) == 0
 
 
 def test_section_relevance_counts_repeated_keywords():
-    profile = KeywordProfile(("spore", "growth", "tissue"), ())
     doc = parse_document("Spores slow tissue growth in dry rooms.", PLAIN)
-    assert section_relevance(doc.sections[0], profile) == 3
+    assert section_relevance(doc.sections[0], ("spore", "growth", "tissue")) == 3
 
 
 def test_section_relevance_empty_cases():
-    profile = KeywordProfile((), ())
     doc = parse_document("Spores slow tissue growth.", PLAIN)
-    assert section_relevance(doc.sections[0], profile) == 0
+    assert section_relevance(doc.sections[0], ()) == 0
     empty = parse_document("", PLAIN)
-    assert section_relevance(empty.sections[0], KeywordProfile(("spore",), ())) == 0
+    assert section_relevance(empty.sections[0], ("spore",)) == 0
 
 
 # --- general behavior -------------------------------------------------------------------

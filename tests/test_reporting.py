@@ -36,7 +36,7 @@ def report_for(text, name="doc.md", fmt=MARKDOWN, cfg=CFG):
     doc = parse_document(text, fmt)
     diags = run_all(doc, cfg)
     findings = infer_maladies(doc, diags, cfg,
-                              profile=extract_keywords(doc, cfg))
+                              keywords=extract_keywords(doc, cfg))
     return build_report(name, cfg, diags, findings)
 
 
