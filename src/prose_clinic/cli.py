@@ -72,6 +72,13 @@ def _assemble_config(args) -> AnalysisConfig:
     return cfg
 
 
+def _display_name(path: str) -> str:
+    """The path as printed. A byte of the name that is not UTF-8 reaches
+    Python as a lone surrogate, which a strict UTF-8 stream cannot write, so
+    it is shown as a \\xNN escape instead."""
+    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -93,6 +100,7 @@ def run(argv=None) -> int:
     found_anything = False
     try:
         for path in args.paths:
+            name = _display_name(path)
             try:
                 # utf-8-sig drops a leading byte-order mark, which would
                 # otherwise read as the first character of the text.
@@ -101,17 +109,17 @@ def run(argv=None) -> int:
                 doc = parse_document(source, args.format, lexicon=lexicon,
                                      words_per_page=cfg.words_per_page)
             except OSError as exc:
-                print(f"clinic: {path}: {exc.strerror or exc}", file=sys.stderr)
+                print(f"clinic: {name}: {exc.strerror or exc}", file=sys.stderr)
                 failed = True
                 continue
             except (UnicodeDecodeError, DocumentStructureError) as exc:
-                print(f"clinic: {path}: {exc}", file=sys.stderr)
+                print(f"clinic: {name}: {exc}", file=sys.stderr)
                 failed = True
                 continue
             diagnostics = run_all(doc, cfg, rules=rules)
             keywords = extract_keywords(doc, cfg)
             findings = infer_maladies(doc, diagnostics, cfg, keywords)
-            report = build_report(path, cfg, diagnostics, findings)
+            report = build_report(name, cfg, diagnostics, findings)
             if args.output == "machine":
                 sys.stdout.write(render_machine(report))
             else:

@@ -2,8 +2,9 @@
 
 Two input formats share one model. ``plain`` is unstructured UTF-8 text with
 blank-line paragraph breaks. ``markdown`` additionally interprets ATX ``#``
-headings as section boundaries and ``[^id]`` footnote markers paired with
-``[^id]: body`` definition lines; nothing else of markdown is interpreted.
+headings as section boundaries and ``[^id]`` footnote markers, in the text
+or in a heading, paired with ``[^id]: body`` definition lines; nothing else
+of markdown is interpreted.
 
 Conventions the rest of the package relies on:
 
@@ -89,11 +90,13 @@ class Token:
 # Digit groups may join on . or , ("0.35", "200,000"); alphanumeric runs may
 # join on hyphens or apostrophes.
 _UNIT = r"(?:\d+(?:[.,]\d+)+|[^\W_]+)"
+_MARKER = r"\[\^[^\]\s]+\]"
 _TOKEN_RE = re.compile(
-    r"(?P<marker>\[\^[^\]\s]+\])"
+    rf"(?P<marker>{_MARKER})"
     rf"|(?P<wordish>{_UNIT}(?:[-‐‑'’]{_UNIT})*)"
     r"|(?P<punct>\S)"
 )
+_MARKER_RE = re.compile(_MARKER)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]")
 _TERMINATOR_RE = re.compile(r"[.!?]+")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
@@ -362,6 +365,9 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     sections: list[dict] = []
     block: list[tuple[int, int]] = []
     defs: dict[str, Span] = {}
+    # Offset ranges of footnote markers. Heading lines never reach the token
+    # store, so their markers are collected here as the lines are read.
+    markers: list[tuple[int, int]] = []
 
     def open_section(level: int, heading: str) -> None:
         sections.append({"level": level, "heading": heading, "paragraphs": []})
@@ -391,6 +397,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                 flush_block()
                 heading = re.sub(r"\s+#+\s*$", "", hm.group(2)).strip()
                 open_section(len(hm.group(1)), heading)
+                markers += [m.span() for m in
+                            _MARKER_RE.finditer(source, line_start, line_end)]
                 continue
             fm = _FOOTNOTE_DEF_RE.match(raw_line)
             if fm:
@@ -417,18 +425,20 @@ def parse_document(source: str, format: str = MARKDOWN, *,
 
     footnotes: list[Footnote] = []
     if format == MARKDOWN:
-        seen: set[str] = set()
         i = store.kind.find(MARKER_CODE)
         while i != -1:
-            fid = store.text[i][2:-1]
+            markers.append((store.start[i], store.start[i] + len(store.text[i])))
+            i = store.kind.find(MARKER_CODE, i + 1)
+        seen: set[str] = set()
+        for start, end in sorted(markers):
+            fid = source[start + 2:end - 1]
             if fid not in defs:
                 raise DocumentStructureError(
                     f"footnote marker [^{fid}] has no definition",
-                    fid, store.token_span(i))
+                    fid, store.span(start, end))
             if fid not in seen:
                 seen.add(fid)
-                footnotes.append(Footnote(fid, store.token_span(i), defs[fid]))
-            i = store.kind.find(MARKER_CODE, i + 1)
+                footnotes.append(Footnote(fid, store.span(start, end), defs[fid]))
         for fid in defs:
             if fid not in seen:
                 raise DocumentStructureError(

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -90,6 +91,30 @@ def test_non_utf8_file_exits_two_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(target) in err
     assert "Traceback" not in err
+
+
+def test_undecodable_file_name_is_printed_escaped(tmp_path, capsys, monkeypatch):
+    # A name byte that is not UTF-8 reaches Python as a lone surrogate, which
+    # a strict UTF-8 stdout cannot write.
+    raw = os.path.join(os.fsencode(tmp_path), b"caf\xe9.md")
+    try:
+        with open(raw, "w", encoding="utf-8") as fh:
+            fh.write(STROSIS_UNLINKED + "\n")
+    except OSError:
+        pytest.skip("the file system refuses names that are not UTF-8")
+    shown = os.path.join(str(tmp_path), "caf\\xe9.md")
+    outputs = {}
+    for output in ("human", "machine"):
+        buffer = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(buffer, encoding="utf-8"))
+        assert run(["analyze", "--output", output, os.fsdecode(raw)]) == 1
+        sys.stdout.flush()
+        outputs[output] = buffer.getvalue().decode("utf-8")
+    assert outputs["human"].startswith(f"{shown}: 2 finding(s)")
+    assert parse_machine(outputs["machine"]).document == shown
+    missing = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"gone\xe9.md"))
+    assert run(["analyze", missing]) == 2
+    assert "gone\\xe9.md: " in capsys.readouterr().err
 
 
 def test_bad_file_does_not_stop_the_batch(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import gc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import run_all
+from prose_clinic.detectors import RULE_IDS, run_all
 from prose_clinic.document import (
     FOOTNOTE_MARKER,
     FORMATS,
@@ -17,7 +18,7 @@ from prose_clinic.document import (
     tokenize,
 )
 from prose_clinic.lexicon import stem
-from prose_clinic.maladies import infer_maladies
+from prose_clinic.maladies import RELEVANCE_EVIDENCE, infer_maladies
 from prose_clinic.reporting import build_report, parse_machine, render_machine
 
 from docbuild import INTENSITY_ADJ, INTENSITY_ADV
@@ -227,6 +228,40 @@ def test_footnotes_are_ordered_by_marker_appearance():
     assert [n.id for n in doc.footnotes] == ["b", "a"]
 
 
+def test_marker_in_a_heading_counts():
+    source = "# Results [^1]\n\nThe yield rose.\n\n[^1]: Measured twice.\n"
+    (note,) = parse_document(source, "markdown").footnotes
+    assert note.id == "1"
+    assert note.marker_span.line == 1
+    assert source[note.marker_span.start_byte:note.marker_span.end_byte] == "[^1]"
+    with pytest.raises(DocumentStructureError) as exc:
+        parse_document("# Results [^9]\n\nThe yield rose.\n", "markdown")
+    assert exc.value.span.line == 1
+
+
+def test_heading_marker_orders_with_body_markers():
+    source = (
+        "First claim[^a].\n"
+        "\n"
+        "## Methods [^b]\n"
+        "\n"
+        "Second claim[^c], as in[^b].\n"
+        "\n"
+        "[^a]: Note a.\n"
+        "[^c]: Note c.\n"
+        "[^b]: Note b.\n"
+    )
+    doc = parse_document(source, "markdown")
+    assert [n.id for n in doc.footnotes] == ["a", "b", "c"]
+    assert doc.footnotes[1].marker_span.line == 3
+
+
+def test_marker_in_a_footnote_body_does_not_count():
+    with pytest.raises(DocumentStructureError) as exc:
+        parse_document("A claim[^1].\n\n[^1]: See [^2].\n[^2]: Orphan.\n", "markdown")
+    assert "[^2] has no marker" in str(exc.value)
+
+
 def test_marker_without_body_is_a_structural_error():
     with pytest.raises(DocumentStructureError) as exc:
         parse_document("A claim[^2] stands.\n", "markdown")
@@ -393,6 +428,76 @@ def test_reported_spans_are_sound(text, fmt):
         assert 0 <= span.start_byte < span.end_byte <= len(text)
         assert text[span.start_byte:span.end_byte]
         _recount(text, span)
+
+
+# Each threshold whose increase can only remove findings of its rule.
+_RAISABLE = {
+    "max_sentence_words": "S101",
+    "max_paragraph_sentences": "S301",
+    "min_insertion_words": "S103",
+    "max_delay_words": "S103",
+    "intensity_per_page": "S701",
+    "superlative_per_page": "S702",
+    "footnote_ratio": "S601",
+}
+
+# Threshold values spread over the range the measured counts and rates of
+# _RULE_TEXT documents fall in; hypothesis draws plain integers and floats
+# mostly near their bounds.
+_INT_GRID = range(1, 41)
+_RATE_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+
+# The defaults, and thresholds low enough that most rules and maladies fire.
+_CONFIGS = st.sampled_from([
+    AnalysisConfig(),
+    AnalysisConfig(max_sentence_words=8, max_paragraph_sentences=2, footnote_ratio=0.05,
+                   intensity_per_page=0.1, superlative_per_page=0.1, min_insertion_words=2,
+                   max_delay_words=3, max_pages=0.05, min_keyword_overlap=3,
+                   malady_min_rule_kinds=1),
+])
+
+
+def _findings_of(doc, cfg, rule_id):
+    return Counter((d.span, d.measured, d.evidence) for d in run_all(doc, cfg, rules=[rule_id]))
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS), st.data())
+def test_raising_a_threshold_adds_no_finding(text, fmt, data):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    for name, rule_id in _RAISABLE.items():
+        grid = _INT_GRID if isinstance(getattr(AnalysisConfig(), name), int) else _RATE_GRID
+        low, high = sorted(data.draw(st.lists(st.sampled_from(grid), min_size=2, max_size=2,
+                                              unique=True)))
+        base = _findings_of(doc, AnalysisConfig(**{name: low}), rule_id)
+        raised = _findings_of(doc, AnalysisConfig(**{name: high}), rule_id)
+        assert not raised - base, name
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS), _CONFIGS, st.sets(st.sampled_from(RULE_IDS)))
+def test_run_all_selects_and_sorts(text, fmt, cfg, rules):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    diagnostics = run_all(doc, cfg)
+    keys = [(d.span.start_byte, d.rule_id) for d in diagnostics]
+    assert keys == sorted(keys)
+    assert run_all(doc, cfg, rules=rules) == [d for d in diagnostics if d.rule_id in rules]
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS), _CONFIGS)
+def test_malady_evidence_names_a_diagnosed_rule(text, fmt, cfg):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    diagnostics = run_all(doc, cfg)
+    known = {d.rule_id for d in diagnostics} | {RELEVANCE_EVIDENCE}
+    for finding in infer_maladies(doc, diagnostics, cfg):
+        assert {ref.rule_id for ref in finding.evidence} <= known
 
 
 def test_parse_holds_few_tracked_objects_per_sentence():
