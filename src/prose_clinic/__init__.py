@@ -34,7 +34,6 @@ from .maladies import (
     section_relevance,
 )
 from .reporting import (
-    MaladySummary,
     Report,
     build_report,
     parse_machine,
@@ -56,7 +55,6 @@ __all__ = [
     "LexiconError",
     "MaladyFinding",
     "MaladyKind",
-    "MaladySummary",
     "Paragraph",
     "Report",
     "REGISTRY",

@@ -1,7 +1,7 @@
 """Command line entry point.
 
-Exit codes: 0 clean, 1 findings reported, 2 usage or input error or output
-closed early.
+Exit codes: 0 clean, 1 findings reported, 2 usage or input error, output
+closed early, or a stdout that cannot encode the output.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def _assemble_config(args) -> AnalysisConfig:
 
 
 def _display_name(path: str) -> str:
-    """The path as printed. A byte of the name that is not UTF-8 reaches
-    Python as a lone surrogate, which a strict UTF-8 stream cannot write, so
-    it is shown as a \\xNN escape instead."""
+    """The path, or a message naming one, as printed. A byte of the name that
+    is not UTF-8 reaches Python as a lone surrogate, which a strict UTF-8
+    stream cannot write, so it is shown as a \\xNN escape instead."""
     return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
@@ -93,7 +93,8 @@ def run(argv=None) -> int:
         if args.lexicon:
             lexicon = load_lexicon_extensions(args.lexicon, lexicon)
     except (ConfigError, LexiconError, ValueError) as exc:
-        print(f"clinic: {exc}", file=sys.stderr)
+        # A config or lexicon file name is part of the message.
+        print(f"clinic: {_display_name(str(exc))}", file=sys.stderr)
         return 2
 
     failed = False
@@ -133,6 +134,9 @@ def run(argv=None) -> int:
         # exit, so point it at devnull to keep that flush from failing too.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 2
+    except UnicodeEncodeError as exc:
+        print(f"clinic: stdout cannot encode the output: {exc}", file=sys.stderr)
         return 2
     if failed:
         return 2

@@ -76,7 +76,7 @@ def load_config(path: str, base: AnalysisConfig | None = None) -> AnalysisConfig
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     overrides = parse_config_text(text, source=path)

@@ -229,7 +229,7 @@ def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
+        raise LexiconError(f"cannot read lexicon file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise LexiconError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):

@@ -49,7 +49,10 @@ class MaladyFinding:
     kind: MaladyKind
     strength: int
     evidence: tuple[EvidenceRef, ...]
-    narrative: str
+
+    @property
+    def narrative(self) -> str:
+        return _NARRATIVES[self.kind]
 
 
 _NARRATIVES = {
@@ -135,7 +138,6 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
         findings.append(MaladyFinding(
             MaladyKind.FAULTY_RAP, len(kinds),
             tuple(EvidenceRef(d.rule_id, d.span) for d in growth),
-            _NARRATIVES[MaladyKind.FAULTY_RAP],
         ))
 
     # PoorChunking: chunk symptoms in three or more distinct paragraphs.
@@ -151,7 +153,6 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
         findings.append(MaladyFinding(
             MaladyKind.POOR_CHUNKING, len(touched),
             tuple(EvidenceRef(d.rule_id, d.span) for d in chunk),
-            _NARRATIVES[MaladyKind.POOR_CHUNKING],
         ))
 
     # MissingRapRelevance: sections whose first paragraph repeats too few of
@@ -169,7 +170,6 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
                     EvidenceRef(RELEVANCE_EVIDENCE, sec.paragraphs[0].span)
                     for sec in candidates
                 ),
-                _NARRATIVES[MaladyKind.MISSING_RAP_RELEVANCE],
             ))
 
     # RhetoricRisk: any superlative-density diagnostic.
@@ -178,6 +178,5 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
         findings.append(MaladyFinding(
             MaladyKind.RHETORIC_RISK, len(praise),
             tuple(EvidenceRef(d.rule_id, d.span) for d in praise),
-            _NARRATIVES[MaladyKind.RHETORIC_RISK],
         ))
     return findings

@@ -2,8 +2,8 @@
 
 A Report bundles one document's diagnostics and malady findings with the
 configuration that produced them. It renders two ways: a line-oriented human
-form (one finding per line, grep-friendly) and a JSON machine form that
-parses back into an equal Report.
+form (one finding per line, grep-friendly) and a machine form, one compact
+JSON object on one line, that parses back into an equal Report.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from .config import AnalysisConfig
 from .detectors import REGISTRY, Diagnostic
 from .document import Span
-
-
-@dataclass(frozen=True)
-class MaladySummary:
-    kind: str
-    strength: int
-    evidence_rule_ids: tuple[str, ...]
-    narrative: str
+from .maladies import EvidenceRef, MaladyFinding, MaladyKind
 
 
 @dataclass(frozen=True)
@@ -30,31 +23,13 @@ class Report:
     document: str
     config: AnalysisConfig
     diagnostics: tuple[Diagnostic, ...]
-    maladies: tuple[MaladySummary, ...]
-
-    @property
-    def summary(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for diag in self.diagnostics:
-            counts[diag.rule_id] = counts.get(diag.rule_id, 0) + 1
-        return dict(sorted(counts.items()))
+    maladies: tuple[MaladyFinding, ...]
 
 
 def build_report(document: str, config: AnalysisConfig, diagnostics,
                  findings) -> Report:
     """Assemble a Report from detector and malady output."""
-    return Report(
-        document=document,
-        config=config,
-        diagnostics=tuple(diagnostics),
-        maladies=tuple(
-            MaladySummary(
-                f.kind.value, f.strength,
-                tuple(ref.rule_id for ref in f.evidence), f.narrative,
-            )
-            for f in findings
-        ),
-    )
+    return Report(document, config, tuple(diagnostics), tuple(findings))
 
 
 def _fmt_number(value) -> str:
@@ -78,9 +53,9 @@ def render_human(report: Report) -> str:
             f"[treat: {REGISTRY[diag.rule_id].section}]"
         )
     for malady in report.maladies:
-        ids = ", ".join(malady.evidence_rule_ids)
+        ids = ", ".join(ref.rule_id for ref in malady.evidence)
         lines.append(
-            f"  {malady.kind} (strength {malady.strength}): "
+            f"  {malady.kind.value} (strength {malady.strength}): "
             f"{malady.narrative} [evidence: {ids}]"
         )
     return "\n".join(lines) + "\n"
@@ -113,15 +88,16 @@ def render_machine(report: Report) -> str:
         ],
         "maladies": [
             {
-                "kind": m.kind,
+                "kind": m.kind.value,
                 "strength": m.strength,
-                "evidence_rule_ids": list(m.evidence_rule_ids),
+                "evidence": [{"rule_id": ref.rule_id, **_span_payload(ref.span)}
+                             for ref in m.evidence],
                 "narrative": m.narrative,
             }
             for m in report.maladies
         ],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def _span_from(payload: dict) -> Span:
@@ -130,8 +106,9 @@ def _span_from(payload: dict) -> Span:
 
 
 def parse_machine(text: str) -> Report:
-    """Inverse of render_machine. Raises KeyError for an unknown rule id and
-    ValueError for a severity other than the rule's own."""
+    """Inverse of render_machine: reads one line of machine output. Raises
+    KeyError for an unknown rule id, and ValueError for an unknown malady kind
+    or for a severity or narrative other than the rule's or kind's own."""
     data = json.loads(text)
     for d in data["diagnostics"]:
         if d["severity"] != REGISTRY[d["rule_id"]].severity.value:
@@ -147,10 +124,14 @@ def parse_machine(text: str) -> Report:
         )
         for d in data["diagnostics"]
     )
-    maladies = tuple(
-        MaladySummary(m["kind"], m["strength"],
-                      tuple(m["evidence_rule_ids"]), m["narrative"])
-        for m in data["maladies"]
-    )
+    maladies = []
+    for m in data["maladies"]:
+        finding = MaladyFinding(
+            MaladyKind(m["kind"]), m["strength"],
+            tuple(EvidenceRef(e["rule_id"], _span_from(e)) for e in m["evidence"]),
+        )
+        if m["narrative"] != finding.narrative:
+            raise ValueError(f"{m['kind']} has narrative {m['narrative']!r}")
+        maladies.append(finding)
     return Report(data["document"], AnalysisConfig(**data["config"]),
-                  diagnostics, maladies)
+                  diagnostics, tuple(maladies))

@@ -1,4 +1,6 @@
+import errno
 import io
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +119,18 @@ def test_undecodable_file_name_is_printed_escaped(tmp_path, capsys, monkeypatch)
     assert "gone\\xe9.md: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,name", [("--config", b"nope\xe9.cfg"),
+                                       ("--lexicon", b"nope\xe9.lex")])
+def test_undecodable_option_file_name_is_printed_escaped(tmp_path, capsys, flag, name):
+    path = write(tmp_path, "ok.txt", FILLER + "\n")
+    missing = os.fsdecode(os.path.join(os.fsencode(tmp_path), name))
+    assert run(["analyze", flag, missing, path]) == 2
+    out = capsys.readouterr()
+    shown = os.path.join(str(tmp_path), name.decode("ascii", "backslashreplace"))
+    assert out.err == f"clinic: cannot read {flag[2:]} file {shown}: {os.strerror(errno.ENOENT)}\n"
+    assert out.out == ""
+
+
 def test_bad_file_does_not_stop_the_batch(tmp_path, capsys):
     bad = write(tmp_path, "bad.md", "The model holds[^x]. The model predicts.\n")
     ok = write(tmp_path, "ok.txt", STROSIS_UNLINKED + "\n")
@@ -151,6 +165,16 @@ def test_closed_stdout_exits_two_without_traceback(tmp_path, capsys, monkeypatch
     finally:
         os.close(fd)
     assert capsys.readouterr().err == ""
+
+
+def test_stdout_that_cannot_encode_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    # The human form cites guide sections as "§1.2", which ASCII cannot encode.
+    path = write(tmp_path, "doc.txt", STROSIS_UNLINKED + "\n")
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert run(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("clinic: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_dangling_marker_is_a_structure_error(tmp_path, capsys):
@@ -295,6 +319,15 @@ def test_multiple_paths_report_in_order(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.index(clean) < out.index(dirty)
     assert f"{clean}: no findings" in out
+
+
+def test_machine_output_is_one_json_line_per_path(tmp_path, capsys):
+    clean = write(tmp_path, "clean.txt", FILLER + "\n")
+    dirty = write(tmp_path, "dirty.txt", STROSIS_UNLINKED + "\n")
+    assert run(["analyze", "--output", "machine", clean, dirty]) == 1
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[-1] == ""
+    assert [json.loads(line)["document"] for line in lines[:-1]] == [clean, dirty]
 
 
 def test_output_is_deterministic(tmp_path, capsys):

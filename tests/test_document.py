@@ -389,18 +389,6 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
         assert text[marker.start_byte:marker.end_byte] == f"[^{note.id}]"
 
 
-@settings(deadline=None)
-@given(_TEXT, st.sampled_from(FORMATS))
-def test_machine_report_round_trips_for_arbitrary_text(text, fmt):
-    doc = _parse_or_none(text, fmt)
-    if doc is None:
-        return
-    cfg = AnalysisConfig()
-    diagnostics = run_all(doc, cfg)
-    report = build_report("doc", cfg, diagnostics, infer_maladies(doc, diagnostics, cfg))
-    assert parse_machine(render_machine(report)) == report
-
-
 # Passages that trip the rules, so that the detectors and maladies report
 # spans; mixed with _TEXT, whose pieces bring CRLF, "İ" and combining marks.
 _RULE_PASSAGES = [
@@ -486,6 +474,45 @@ def test_run_all_selects_and_sorts(text, fmt, cfg, rules):
     keys = [(d.span.start_byte, d.rule_id) for d in diagnostics]
     assert keys == sorted(keys)
     assert run_all(doc, cfg, rules=rules) == [d for d in diagnostics if d.rule_id in rules]
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS), _CONFIGS)
+def test_machine_report_round_trips_for_arbitrary_text(text, fmt, cfg):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    diagnostics = run_all(doc, cfg)
+    report = build_report("doc", cfg, diagnostics, infer_maladies(doc, diagnostics, cfg))
+    assert parse_machine(render_machine(report)) == report
+
+
+# The unit each rule judges; a finding's span and evidence lie inside one.
+_SCOPES = {"S101": "sentence", "S102": "sentence", "S103": "sentence",
+           "S201": "paragraph", "S301": "paragraph", "S302": "paragraph",
+           "S401": "section"}
+
+
+def _scope_ranges(doc, scope):
+    if scope == "sentence":
+        return [(s.span.start_byte, s.span.end_byte) for s in doc.iter_sentences()]
+    if scope == "paragraph":
+        return [(p.span.start_byte, p.span.end_byte) for p in doc.iter_paragraphs()]
+    return [(sec.paragraphs[0].span.start_byte, sec.paragraphs[-1].span.end_byte)
+            for sec in doc.sections if sec.paragraphs]
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS), _CONFIGS)
+def test_findings_lie_inside_the_scope_of_their_rule(text, fmt, cfg):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    ranges = {scope: _scope_ranges(doc, scope) for scope in set(_SCOPES.values())}
+    for diag in run_all(doc, cfg, rules=_SCOPES):
+        spans = (diag.span, *diag.evidence)
+        assert any(all(lo <= span.start_byte and span.end_byte <= hi for span in spans)
+                   for lo, hi in ranges[_SCOPES[diag.rule_id]]), diag
 
 
 @settings(deadline=None)

@@ -124,9 +124,14 @@ def test_machine_payload_shape():
         assert diag["severity"] in ("info", "warning")
         for span in diag["evidence"]:
             assert set(span) == {"start_byte", "end_byte", "line", "column"}
+    assert data["maladies"]
     for malady in data["maladies"]:
-        assert set(malady) == {"kind", "strength", "evidence_rule_ids", "narrative"}
-    assert render_machine(report).endswith("\n")
+        assert set(malady) == {"kind", "strength", "evidence", "narrative"}
+        for ref in malady["evidence"]:
+            assert set(ref) == {"rule_id", "start_byte", "end_byte", "line", "column"}
+    out = render_machine(report)
+    assert out.endswith("\n")
+    assert "\n" not in out[:-1]
 
 
 def test_machine_round_trip():
@@ -138,6 +143,12 @@ def test_machine_severity_must_match_the_rule():
     text = render_machine(report_for(STROSIS_UNLINKED, fmt=PLAIN))
     with pytest.raises(ValueError, match="S201"):
         parse_machine(text.replace('"warning"', '"info"'))
+
+
+def test_machine_narrative_must_match_the_kind():
+    text = render_machine(report_for(composite_text()))
+    with pytest.raises(ValueError, match="FaultyRAP"):
+        parse_machine(text.replace("Size, apparatus", "Size and apparatus"))
 
 
 def test_machine_round_trip_empty():
@@ -159,15 +170,6 @@ def test_machine_rendering_is_deterministic():
 
 
 # --- report assembly ----------------------------------------------------------
-
-def test_summary_counts_by_rule():
-    report = report_for(composite_text())
-    summary = report.summary
-    assert summary["S401"] == 2
-    assert summary["S601"] == 1
-    assert summary["S701"] == 1
-    assert list(summary) == sorted(summary)
-
 
 def test_report_is_value_comparable():
     a = report_for(STROSIS_UNLINKED, fmt=PLAIN)
