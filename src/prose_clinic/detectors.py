@@ -278,9 +278,12 @@ def detect_footnote_overload(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
     if count == 0:
         return []
     pages = _pages(doc, cfg)
-    fair = math.floor(pages * cfg.footnote_ratio + 0.5)
-    if count <= fair:
+    # count <= budget is count <= floor(budget) for an integer count, and it
+    # also holds when the budget overflows to infinity, where floor raises.
+    budget = pages * cfg.footnote_ratio + 0.5
+    if count <= budget:
         return []
+    fair = math.floor(budget)
     return [Diagnostic(
         "S601", _document_span(doc), count, fair,
         f"{count} footnotes for an estimated {pages:.1f} pages; a fair count "

@@ -90,7 +90,10 @@ class Token:
 # Digit groups may join on . or , ("0.35", "200,000"); alphanumeric runs may
 # join on hyphens or apostrophes.
 _UNIT = r"(?:\d+(?:[.,]\d+)+|[^\W_]+)"
-_MARKER = r"\[\^[^\]\s]+\]"
+# Footnote ids, in markers and definitions alike: no whitespace, "[" or "]".
+# Without "[", a run of "[^" cannot restart the scan at every bracket.
+_ID = r"[^\[\]\s]+"
+_MARKER = rf"\[\^{_ID}\]"
 _TOKEN_RE = re.compile(
     rf"(?P<marker>{_MARKER})"
     rf"|(?P<wordish>{_UNIT}(?:[-‐‑'’]{_UNIT})*)"
@@ -100,7 +103,9 @@ _MARKER_RE = re.compile(_MARKER)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]")
 _TERMINATOR_RE = re.compile(r"[.!?]+")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
-_FOOTNOTE_DEF_RE = re.compile(r"^\[\^([^\]\s]+)\]:\s?(.*)$")
+_FOOTNOTE_DEF_RE = re.compile(rf"^\[\^({_ID})\]:\s?(.*)$")
+# "\s#+", not "\s+#+", which backtracks over every whitespace run in a heading.
+_CLOSING_HASHES_RE = re.compile(r"\s#+\s*$")
 
 
 class TokenStore:
@@ -127,14 +132,6 @@ class TokenStore:
         self.word_text: list[str] = []
         self.word_start = array("l")
         self.stems: list[str] = []
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TokenStore):
-            return NotImplemented
-        # The sentences of one document share its store; comparing them
-        # should not walk the arrays.
-        return self is other or all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def scan(self, source: str, start: int, end: int) -> int:
         """Append the tokens of source[start:end]; returns how many of them
@@ -198,7 +195,7 @@ class Sentence:
 
     span: Span
     word_count: int
-    store: TokenStore = field(repr=False, hash=False)
+    store: TokenStore = field(repr=False, compare=False)
     first_token: int
     end_token: int
     first_word: int
@@ -362,27 +359,23 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
 
-    sections: list[dict] = []
-    block: list[tuple[int, int]] = []
+    # (heading, level, paragraphs); the untitled section opens up front and
+    # is dropped at the end if a heading followed it and it stayed empty.
+    sections: list[tuple[str, int, list[Paragraph]]] = [("", 0, [])]
+    block_start = block_end = -1  # offsets of the pending block, if any
     defs: dict[str, Span] = {}
-    # Offset ranges of footnote markers. Heading lines never reach the token
-    # store, so their markers are collected here as the lines are read.
+    # Offset ranges of the footnote markers, in source order.
     markers: list[tuple[int, int]] = []
 
-    def open_section(level: int, heading: str) -> None:
-        sections.append({"level": level, "heading": heading, "paragraphs": []})
-
     def flush_block() -> None:
-        nonlocal block
-        if not block:
+        nonlocal block_start
+        if block_start < 0:
             return
-        rows, block = block, []
         # Block lines are never blank, so there is at least one sentence.
-        sentences = _build_sentences(source, rows[0][0], rows[-1][1], store, lexicon)
-        if not sections:
-            open_section(0, "")
+        sentences = _build_sentences(source, block_start, block_end, store, lexicon)
+        block_start = -1
         span = store.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
-        sections[-1]["paragraphs"].append(Paragraph(span, sentences))
+        sections[-1][2].append(Paragraph(span, sentences))
 
     offset = 0
     for raw_line in source.split("\n"):
@@ -392,14 +385,6 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             flush_block()
             continue
         if format == MARKDOWN:
-            hm = _HEADING_RE.match(raw_line)
-            if hm:
-                flush_block()
-                heading = re.sub(r"\s+#+\s*$", "", hm.group(2)).strip()
-                open_section(len(hm.group(1)), heading)
-                markers += [m.span() for m in
-                            _MARKER_RE.finditer(source, line_start, line_end)]
-                continue
             fm = _FOOTNOTE_DEF_RE.match(raw_line)
             if fm:
                 flush_block()
@@ -414,43 +399,41 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                         f"duplicate footnote definition [^{fid}]", fid, defs[fid])
                 defs[fid] = store.span(body_start, body_start + len(body))
                 continue
-        block.append((line_start, line_end))
+            markers += [m.span() for m in _MARKER_RE.finditer(source, line_start, line_end)]
+            hm = _HEADING_RE.match(raw_line)
+            if hm:
+                flush_block()
+                heading = _CLOSING_HASHES_RE.sub("", hm.group(2)).strip()
+                sections.append((heading, len(hm.group(1)), []))
+                continue
+        if block_start < 0:
+            block_start = line_start
+        block_end = line_end
     flush_block()
-    if not sections:
-        open_section(0, "")
-
+    if len(sections) > 1 and not sections[0][2]:
+        del sections[0]
     built_sections = tuple(
-        Section(s["heading"], s["level"], tuple(s["paragraphs"])) for s in sections
-    )
+        Section(heading, level, tuple(paragraphs)) for heading, level, paragraphs in sections)
 
-    footnotes: list[Footnote] = []
-    if format == MARKDOWN:
-        i = store.kind.find(MARKER_CODE)
-        while i != -1:
-            markers.append((store.start[i], store.start[i] + len(store.text[i])))
-            i = store.kind.find(MARKER_CODE, i + 1)
-        seen: set[str] = set()
-        for start, end in sorted(markers):
-            fid = source[start + 2:end - 1]
-            if fid not in defs:
-                raise DocumentStructureError(
-                    f"footnote marker [^{fid}] has no definition",
-                    fid, store.span(start, end))
-            if fid not in seen:
-                seen.add(fid)
-                footnotes.append(Footnote(fid, store.span(start, end), defs[fid]))
-        for fid in defs:
-            if fid not in seen:
-                raise DocumentStructureError(
-                    f"footnote definition [^{fid}] has no marker in the text",
-                    fid, defs[fid])
+    footnotes: dict[str, Footnote] = {}  # by id, in first-marker order
+    for start, end in markers:
+        fid = source[start + 2:end - 1]
+        if fid not in defs:
+            raise DocumentStructureError(
+                f"footnote marker [^{fid}] has no definition", fid, store.span(start, end))
+        if fid not in footnotes:
+            footnotes[fid] = Footnote(fid, store.span(start, end), defs[fid])
+    for fid in defs:
+        if fid not in footnotes:
+            raise DocumentStructureError(
+                f"footnote definition [^{fid}] has no marker in the text", fid, defs[fid])
 
     total = sum(p.word_count for s in built_sections for p in s.paragraphs)
     return Document(
         source=source,
         format=format,
         sections=built_sections,
-        footnotes=tuple(footnotes),
+        footnotes=tuple(footnotes.values()),
         total_words=total,
         lexicon=lexicon,
         store=store,

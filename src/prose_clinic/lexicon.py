@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 class ConnectorClass(enum.Enum):
@@ -200,17 +200,8 @@ def _strip_one_suffix(w: str) -> str:
     return w
 
 
-_EXTENSIBLE = (
-    "stopwords",
-    "coordinating",
-    "subordinating",
-    "conjunctive_adverbs",
-    "demonstratives",
-    "be_forms",
-    "intensity_words",
-    "superlatives",
-    "abbreviations",
-)
+# The set-valued classes; nominalization_suffixes is a tuple and stays fixed.
+_EXTENSIBLE = tuple(f.name for f in fields(Lexicon) if f.type == "frozenset[str]")
 
 
 def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:

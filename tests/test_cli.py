@@ -230,6 +230,14 @@ def test_nan_flag_errors(tmp_path, capsys):
     assert "footnote_ratio" in capsys.readouterr().err
 
 
+def test_huge_footnote_ratio_overflows_to_no_finding(tmp_path, capsys):
+    # 1200 words and one footnote: the fair count overflows to infinity.
+    sentences = [FILLER] * 99 + [FILLER[:-1] + "[^1]."]
+    doc = write(tmp_path, "fn.md", paragraphs(sentences) + "\n\n[^1]: A note.\n")
+    assert run(["analyze", "--footnote-ratio", "1e308", doc]) == 0
+    assert capsys.readouterr().out == f"{doc}: no findings\n"
+
+
 def test_float_flag_arms_the_page_rule(tmp_path, capsys):
     doc = write(tmp_path, "big.txt", paragraphs([FILLER] * 1000) + "\n")
     assert run(["analyze", doc]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -378,6 +379,15 @@ def test_readme_rules_table_matches_registry():
         f"| {rule.id} | {rule.severity.value:<8} | {rule.summary} |"
         for rule in REGISTRY.values()
     ]
+
+
+def test_registry_summaries_state_the_default_thresholds():
+    stated = [m.groups() for rule in REGISTRY.values()
+              for m in re.finditer(r"`(\w+)` \((\d+)\)", rule.summary)]
+    assert len(stated) == 4  # S101, S103, S301 and S702
+    defaults = AnalysisConfig()
+    for name, value in stated:
+        assert getattr(defaults, name) == float(value), name
 
 
 def test_diagnostic_spans_stay_inside_the_source():

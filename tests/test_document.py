@@ -1,4 +1,5 @@
 import gc
+import time
 from collections import Counter
 
 import pytest
@@ -85,6 +86,26 @@ def test_footnote_marker_token():
     tokens = tokenize("holds[^12].")
     assert [t.kind for t in tokens] == [WORD, FOOTNOTE_MARKER, PUNCTUATION]
     assert tokens[1].text == "[^12]"
+
+
+def test_footnote_id_cannot_hold_a_bracket():
+    tokens = tokenize("[^a[^b]")
+    assert [(t.text, t.kind) for t in tokens] == [
+        ("[", PUNCTUATION), ("^", PUNCTUATION), ("a", WORD), ("[^b]", FOOTNOTE_MARKER)]
+    doc = parse_document("Claim[^a[^b] holds.\n\n[^b]: Note b.\n", "markdown")
+    assert [n.id for n in doc.footnotes] == ["b"]
+
+
+def test_backtracking_inputs_parse_quickly():
+    # At this size each took over 10 s when a regex backtracked: a heading
+    # with one long whitespace run, and a run of "[^" that never closes.
+    n = 50_000
+    bracket_run = "Text " + "[^" * n + " here.\n"
+    for text, fmt in (("# a" + " " * n + "b\n\nBody text here.\n", "markdown"),
+                      (bracket_run, "plain"), (bracket_run, "markdown")):
+        start = time.perf_counter()
+        parse_document(text, fmt)
+        assert time.perf_counter() - start < 1, (text[:8], fmt)
 
 
 def test_token_spans_reconstruct_source():
@@ -418,6 +439,31 @@ def test_reported_spans_are_sound(text, fmt):
         _recount(text, span)
 
 
+# Markdown that carries footnotes: rule-tripping passages and headings with
+# [^n] markers planted after drawn words (an id may recur), then one
+# definition per marked id, in drawn order.
+@st.composite
+def _footnoted_markdown(draw):
+    blocks, ids = [], []
+    for block in draw(st.lists(st.sampled_from([*_RULE_PASSAGES, "# Part two"]),
+                               min_size=1, max_size=8)):
+        words = block.split(" ")
+        first = 1 if words[0] == "#" else 0  # not after the heading's "#"
+        for _ in range(draw(st.integers(0, 3))):
+            fid = str(draw(st.integers(1, 9)))
+            words[draw(st.integers(first, len(words) - 1))] += f"[^{fid}]"
+            ids.append(fid)
+        blocks.append(" ".join(words))
+    blocks += [f"[^{fid}]: Note {fid}." for fid in draw(st.permutations(sorted(set(ids))))]
+    return draw(st.sampled_from(["\n\n", "\r\n\r\n"])).join(blocks) + "\n"
+
+
+@settings(deadline=None)
+@given(_footnoted_markdown())
+def test_reported_spans_are_sound_with_footnotes(text):
+    test_reported_spans_are_sound.hypothesis.inner_test(text, "markdown")
+
+
 # Each threshold whose increase can only remove findings of its rule.
 _RAISABLE = {
     "max_sentence_words": "S101",
@@ -462,6 +508,17 @@ def test_raising_a_threshold_adds_no_finding(text, fmt, data):
         base = _findings_of(doc, AnalysisConfig(**{name: low}), rule_id)
         raised = _findings_of(doc, AnalysisConfig(**{name: high}), rule_id)
         assert not raised - base, name
+
+
+@settings(deadline=None)
+@given(_footnoted_markdown(),
+       st.lists(st.sampled_from(_RATE_GRID), min_size=2, max_size=2, unique=True))
+def test_raising_footnote_ratio_adds_no_finding_with_footnotes(text, ratios):
+    doc = parse_document(text, "markdown")
+    low, high = sorted(ratios)
+    base = _findings_of(doc, AnalysisConfig(footnote_ratio=low), "S601")
+    raised = _findings_of(doc, AnalysisConfig(footnote_ratio=high), "S601")
+    assert not raised - base
 
 
 @settings(deadline=None)
