@@ -3,7 +3,10 @@
 Each rule is a pure function of (Document, AnalysisConfig) returning located
 diagnostics; word classes come from the lexicon the document was parsed with.
 The rules read the document's flat token arrays (doc.store) by index, not
-the Token views, and build a Span only for what they report.
+the Token views, and build a Span only for what they report. Words are
+tested in the lowercase forms the parse folded them to (store.word_lower),
+against the lexicon's sets, and sentences are compared on slices of
+store.stems; no rule lowercases a word per occurrence.
 REGISTRY at the end of the module holds one Rule record per rule; the rule
 table, the severities and the treatment pointers are all read from it.
 """
@@ -17,6 +20,7 @@ from typing import Callable
 
 from .config import AnalysisConfig
 from .document import (
+    COMMA_CODE,
     NUMBER_CODE,
     PUNCTUATION_CODE,
     WORD_CODE,
@@ -50,12 +54,20 @@ class Diagnostic:
 def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
     """A connector among the first link_window_tokens words, or a
     demonstrative anywhere in the sentence."""
-    words = sentence.store.word_text
+    words = sentence.store.word_lower
     lo, hi = sentence.first_word, sentence.end_word
     window = words[lo:min(hi, lo + cfg.link_window_tokens)]
-    if any(lexicon.connector_class(w) is not ConnectorClass.NONE for w in window):
+    if not (lexicon.coordinating.isdisjoint(window)
+            and lexicon.subordinating.isdisjoint(window)
+            and lexicon.conjunctive_adverbs.isdisjoint(window)):
         return True
-    return any(lexicon.is_demonstrative(w) for w in words[lo:hi])
+    return not lexicon.demonstratives.isdisjoint(words[lo:hi])
+
+
+def _share_no_stem(prev: Sentence, cur: Sentence) -> bool:
+    stems = prev.store.stems
+    return set(stems[prev.first_stem:prev.end_stem]).isdisjoint(
+        stems[cur.first_stem:cur.end_stem])
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:
@@ -85,18 +97,19 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S102: a be-form carrying nominalizations, or a "the <gerund> of"
     construction, instead of a strong verb."""
     lexicon, store = doc.lexicon, doc.store
-    words = store.word_text
+    words = store.word_lower
+    be_forms = lexicon.be_forms
     out = []
     for sentence in doc.iter_sentences():
         lo, hi = sentence.first_word, sentence.end_word
-        be = next((i for i in range(lo, hi) if lexicon.is_be_form(words[i])), None)
-        if be is None:
+        if be_forms.isdisjoint(words[lo:hi]):
             continue
+        be = next(i for i in range(lo, hi) if words[i] in be_forms)
         noms = [i for i in range(lo, hi) if lexicon.is_nominalization(words[i])]
         gerund = None
         for i in range(lo, hi - 2):
-            mid = words[i + 1].lower()
-            if (words[i].lower() == "the" and words[i + 2].lower() == "of"
+            mid = words[i + 1]
+            if (words[i] == "the" and words[i + 2] == "of"
                     and mid.endswith("ing") and len(mid) >= 5):
                 gerund = i
                 break
@@ -117,14 +130,20 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
 
 def _comma_segments(sentence: Sentence) -> list[list[int]]:
     """For each of the sentence's comma-separated segments, the indices of
-    its countable tokens: words plus numbers, as in sentence word counts."""
-    text, kind = sentence.store.text, sentence.store.kind
-    segments: list[list[int]] = [[]]
-    for i in range(sentence.first_token, sentence.end_token):
-        if kind[i] < PUNCTUATION_CODE:
-            segments[-1].append(i)
-        elif text[i] == ",":
-            segments.append([])
+    its countable tokens: words plus numbers, as in sentence word counts.
+    A sentence without a comma has one segment, and S103 needs two, so its
+    segments are not built: the list is empty."""
+    kind = sentence.store.kind
+    pos, end = sentence.first_token, sentence.end_token
+    comma = kind.find(COMMA_CODE, pos, end)
+    if comma < 0:
+        return []
+    segments = []
+    while comma >= 0:
+        segments.append([i for i in range(pos, comma) if kind[i] < PUNCTUATION_CODE])
+        pos = comma + 1
+        comma = kind.find(COMMA_CODE, pos, end)
+    segments.append([i for i in range(pos, end) if kind[i] < PUNCTUATION_CODE])
     return segments
 
 
@@ -190,7 +209,7 @@ def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
         for prev, cur in zip(paragraph.sentences, paragraph.sentences[1:]):
             if _signals_link(cur, cfg, doc.lexicon):
                 continue
-            if set(prev.stems).isdisjoint(cur.stems):
+            if _share_no_stem(prev, cur):
                 out.append(Diagnostic(
                     "S201", cur.span, 0, 1,
                     "no explicit link to the previous sentence (no leading "
@@ -247,7 +266,7 @@ def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnosti
     for section in doc.sections:
         openers = [p.sentences[0] for p in section.paragraphs]
         for prev, cur in zip(openers, openers[1:]):
-            if set(prev.stems).isdisjoint(cur.stems):
+            if _share_no_stem(prev, cur):
                 out.append(Diagnostic(
                     "S401", cur.span, 0, 1,
                     "paragraph opener carries no key term over from the "
@@ -300,9 +319,10 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
     if pages <= 0:
         return []
     # The store holds exactly the words of the document's sentences, in order.
+    intensity = lexicon.intensity_words
     families: dict[str, list[int]] = {}
-    for i, word in enumerate(store.word_text):
-        if lexicon.is_intensity_word(word):
+    for i, word in enumerate(store.word_lower):
+        if word in intensity:
             families.setdefault(lexicon.intensity_family(word), []).append(i)
     out = []
     for family, hits in families.items():
@@ -321,18 +341,21 @@ def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagn
     """S702: superlatives (including "most <content word>") denser than
     superlative_per_page; praise standing in for argument."""
     lexicon, store = doc.lexicon, doc.store
-    words = store.word_text
+    words = store.word_lower
+    superlatives, stopwords = lexicon.superlatives, lexicon.stopwords
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
     hits: list[tuple[int, int]] = []  # word index ranges
     for sentence in doc.iter_sentences():
-        hi = sentence.end_word
-        for i in range(sentence.first_word, hi):
-            if lexicon.is_superlative(words[i]):
+        lo, hi = sentence.first_word, sentence.end_word
+        forms = words[lo:hi]
+        if superlatives.isdisjoint(forms) and "most" not in forms:
+            continue
+        for i in range(lo, hi):
+            if words[i] in superlatives:
                 hits.append((i, i + 1))
-            elif (words[i].lower() == "most" and i + 1 < hi
-                  and not lexicon.is_stopword(words[i + 1])):
+            elif words[i] == "most" and i + 1 < hi and words[i + 1] not in stopwords:
                 hits.append((i, i + 2))
     if not hits:
         return []

@@ -18,17 +18,20 @@ Conventions the rest of the package relies on:
   sentence and paragraph statistics.
 
 Tokens are not stored as objects. One parse fills a single TokenStore: flat
-arrays of every body token's text, start offset and kind code, plus the WORD
-tokens' texts and starts and the content stems. A Sentence holds its span,
-its word count and index ranges into that store. ``Sentence.tokens``,
-``Sentence.words`` and ``Sentence.stems`` are views built on each access;
-the detectors read the flat arrays instead and build a Span only for what
-they report. A token's line and column are found only when its span is
-built (``TokenStore.span``).
+arrays of every body token's text, start offset and kind code, plus each
+WORD token's lowercase form and token index, and the content stems. The
+parse folds each distinct word form once: its lowercase form is computed,
+shared by every occurrence, and tested once for a stopword and stemmed once.
+A Sentence holds its span, its word count and index ranges into that store.
+``Sentence.tokens``, ``Sentence.words`` and ``Sentence.stems`` are views
+built on each access; the detectors read the flat arrays instead and build
+a Span only for what they report. A token's line and column are found only
+when its span is built (``TokenStore.span``).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from array import array
 from bisect import bisect_right
@@ -44,8 +47,10 @@ FOOTNOTE_MARKER = "footnote_marker"
 
 # Kind codes of the token store: KINDS[code] is the kind's name. WORD and
 # NUMBER come first, so a code below PUNCTUATION_CODE marks a counted word.
-KINDS = (WORD, NUMBER, PUNCTUATION, FOOTNOTE_MARKER)
-WORD_CODE, NUMBER_CODE, PUNCTUATION_CODE, MARKER_CODE = range(len(KINDS))
+# A comma has a code of its own, so that comma splits are found with
+# bytearray.find, but its kind is PUNCTUATION like any other mark.
+KINDS = (WORD, NUMBER, PUNCTUATION, FOOTNOTE_MARKER, PUNCTUATION)
+WORD_CODE, NUMBER_CODE, PUNCTUATION_CODE, MARKER_CODE, COMMA_CODE = range(len(KINDS))
 
 PLAIN = "plain"
 MARKDOWN = "markdown"
@@ -112,15 +117,17 @@ class TokenStore:
     """Every token of one parse in flat arrays, in source order.
 
     Token i is ``text[i]`` at offsets ``[start[i], start[i] + len(text[i]))``
-    with kind ``KINDS[kind[i]]``. The WORD tokens are repeated in
-    ``word_text`` and ``word_start``, and ``stems`` holds the content stems
-    (see content_stems). The arrays are kept per document, not per sentence:
+    with kind ``KINDS[kind[i]]``. Word i (the i-th WORD token) is token
+    ``word_token[i]``, and ``word_lower[i]`` is its lowercase form, one string
+    object shared by every occurrence of the form; the lexicon's word classes
+    are tested against these forms. ``stems`` holds the content stems (see
+    content_stems). The arrays are kept per document, not per sentence:
     thousands of small per-sentence tuples, once freed, stay on CPython's
     tuple free lists, which only a generation-2 collection clears, and the
     parse no longer triggers one.
     """
 
-    __slots__ = ("line_starts", "text", "start", "kind", "word_text", "word_start", "stems")
+    __slots__ = ("line_starts", "text", "start", "kind", "word_lower", "word_token", "stems")
 
     def __init__(self, source: str):
         # The offsets at which the source's lines start.
@@ -129,31 +136,31 @@ class TokenStore:
         self.text: list[str] = []
         self.start = array("l")
         self.kind = bytearray()
-        self.word_text: list[str] = []
-        self.word_start = array("l")
+        self.word_lower: list[str] = []
+        self.word_token = array("l")
         self.stems: list[str] = []
 
     def scan(self, source: str, start: int, end: int) -> int:
-        """Append the tokens of source[start:end]; returns how many of them
-        are words (WORD plus NUMBER tokens)."""
+        """Append the tokens of source[start:end] and the token indices of
+        its WORD tokens; returns how many of them are words (WORD plus NUMBER
+        tokens). The caller appends the WORD tokens' lowercase forms."""
         text, starts, kinds = self.text, self.start, self.kind
         words = 0
         for m in _TOKEN_RE.finditer(source, start, end):
             token, pos = m.group(), m.start()
-            text.append(token)
             starts.append(pos)
             if m.lastgroup == "wordish":
                 words += 1
                 if _HAS_LETTER_RE.search(token):
                     kinds.append(WORD_CODE)
-                    self.word_text.append(token)
-                    self.word_start.append(pos)
+                    self.word_token.append(len(text))
                 else:
                     kinds.append(NUMBER_CODE)
             elif m.lastgroup == "marker":
                 kinds.append(MARKER_CODE)
             else:
-                kinds.append(PUNCTUATION_CODE)
+                kinds.append(COMMA_CODE if token == "," else PUNCTUATION_CODE)
+            text.append(token)
         return words
 
     def span(self, start: int, end: int) -> Span:
@@ -172,15 +179,14 @@ class TokenStore:
         """The Span from word i through word j - 1 (word i alone by
         default)."""
         last = i if j is None else j - 1
-        return self.span(self.word_start[i],
-                         self.word_start[last] + len(self.word_text[last]))
+        return self.token_span(self.word_token[i], self.word_token[last] + 1)
 
     def tokens(self, lo: int, hi: int) -> list[Token]:
         return [Token(self.text[i], KINDS[self.kind[i]], self.token_span(i))
                 for i in range(lo, hi)]
 
     def words(self, lo: int, hi: int) -> list[Token]:
-        return [Token(self.word_text[i], WORD, self.word_span(i)) for i in range(lo, hi)]
+        return [Token(self.text[i], WORD, self.token_span(i)) for i in self.word_token[lo:hi]]
 
 
 @dataclass(frozen=True)
@@ -277,15 +283,30 @@ def tokenize(text: str) -> list[Token]:
     return store.tokens(0, len(store.text))
 
 
-def _ends_with_abbreviation(source: str, end: int, abbreviations) -> bool:
+@functools.lru_cache(maxsize=16)
+def _abbreviations_by_length(
+        abbreviations: frozenset[str]) -> tuple[tuple[int, frozenset[str]], ...]:
+    """The abbreviations grouped by length, as (length, abbreviations) pairs.
+    Cached per abbreviation set, so a sentence bound lowercases one window
+    per distinct length, not one per abbreviation."""
+    buckets: dict[int, set[str]] = {}
     for abbr in abbreviations:
-        pos = end - len(abbr)
+        buckets.setdefault(len(abbr), set()).add(abbr)
+    return tuple((n, frozenset(bucket)) for n, bucket in buckets.items())
+
+
+def _ends_with_abbreviation(source: str, end: int, abbreviations) -> bool:
+    # A window of n characters matches only an abbreviation of length n.
+    # frozenset() returns a frozenset as it is, and makes any other
+    # collection a hashable key.
+    for n, bucket in _abbreviations_by_length(frozenset(abbreviations)):
+        pos = end - n
         if pos < 0:
             continue
         # Lowercase only the window: lowercasing can change a string's length
         # ("İ" becomes two code points), so offsets into a lowercased copy of
         # the whole source would drift.
-        if source[pos:end].lower() == abbr and (pos == 0 or not source[pos - 1].isalnum()):
+        if source[pos:end].lower() in bucket and (pos == 0 or not source[pos - 1].isalnum()):
             return True
     return False
 
@@ -327,19 +348,41 @@ def content_stems(words, lexicon: Lexicon) -> list[str]:
     return [stem(w) for w in words if not lexicon.is_stopword(w)]
 
 
-def _build_sentences(source: str, start: int, end: int, store: TokenStore,
-                     lexicon: Lexicon) -> tuple[Sentence, ...]:
+def _build_sentences(source: str, start: int, end: int, store: TokenStore, lexicon: Lexicon,
+                     folded: dict[str, str],
+                     content: dict[str, str | None]) -> tuple[Sentence, ...]:
+    """The sentences of source[start:end], with their tokens, folded words
+    and content stems appended to the store.
+
+    folded and content are the parse's fold tables: word text -> its shared
+    lowercase form (a form also maps to itself), and lowercase form -> its
+    content stem, or None for a stopword."""
+    text, word_token, word_lower = store.text, store.word_token, store.word_lower
+    stems = store.stems
+    stopwords = lexicon.stopwords
     sentences = []
     for s, e in _sentence_bounds(source, start, end, lexicon.abbreviations):
-        first_token, first_word, first_stem = (
-            len(store.text), len(store.word_text), len(store.stems))
+        first_token, first_word, first_stem = len(text), len(word_lower), len(stems)
         word_count = store.scan(source, s, e)
-        store.stems += content_stems(store.word_text[first_word:], lexicon)
+        for i in word_token[first_word:]:
+            word = text[i]
+            lower = folded.get(word)
+            if lower is None:
+                lower = word.lower()
+                lower = folded[word] = folded.setdefault(lower, lower)
+                if lower not in content:
+                    # Through this module's name, as in content_stems, so
+                    # that a wrapper put in its place sees every call.
+                    content[lower] = None if lower in stopwords else stem(lower)
+            word_lower.append(lower)
+            word_stem = content[lower]
+            if word_stem is not None:
+                stems.append(word_stem)
         sentences.append(Sentence(
             store.span(s, e), word_count, store,
-            first_token, len(store.text),
-            first_word, len(store.word_text),
-            first_stem, len(store.stems),
+            first_token, len(text),
+            first_word, len(word_lower),
+            first_stem, len(stems),
         ))
     return tuple(sentences)
 
@@ -358,6 +401,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
+    folded: dict[str, str] = {}
+    content: dict[str, str | None] = {}
 
     # (heading, level, paragraphs); the untitled section opens up front and
     # is dropped at the end if a heading followed it and it stayed empty.
@@ -372,7 +417,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         if block_start < 0:
             return
         # Block lines are never blank, so there is at least one sentence.
-        sentences = _build_sentences(source, block_start, block_end, store, lexicon)
+        sentences = _build_sentences(source, block_start, block_end, store, lexicon,
+                                     folded, content)
         block_start = -1
         span = store.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
         sections[-1][2].append(Paragraph(span, sentences))

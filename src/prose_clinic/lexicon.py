@@ -2,9 +2,13 @@
 
 Everything here is a plain lookup table: connector classes, be-forms,
 demonstratives, nominalization suffixes, intensity and superlative vocabulary,
-sentence-boundary abbreviations, and a standard stopword list. Lookups are
-case-insensitive. The tables can be extended from a plain-text file, see
-load_lexicon_extensions.
+sentence-boundary abbreviations, and a standard stopword list. The tables
+hold lowercase entries, and lookups are case-insensitive: the parse folds
+each distinct word form to lowercase once (TokenStore.word_lower), and the
+detectors test those forms against the sets directly. The Lexicon
+predicates (is_stopword, connector_class, ...) lowercase their argument and
+stay the public way to classify one word. The tables can be extended from
+a plain-text file, see load_lexicon_extensions.
 """
 
 from __future__ import annotations

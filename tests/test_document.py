@@ -1,6 +1,8 @@
 import gc
+import re
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from prose_clinic.document import (
     parse_document,
     tokenize,
 )
-from prose_clinic.lexicon import stem
+from prose_clinic.lexicon import load_lexicon_extensions, stem
 from prose_clinic.maladies import RELEVANCE_EVIDENCE, infer_maladies
 from prose_clinic.reporting import build_report, parse_machine, render_machine
 
@@ -157,6 +159,24 @@ def test_dotted_capital_i_does_not_shift_abbreviation_check():
     # "İ".lower() is two code points; the "e.g." check must still see "e.g.".
     doc = parse_document("İ Alpha uses a method, e.g. Beta is good.", "plain")
     assert len(list(doc.iter_sentences())) == 1
+
+
+def test_abbreviation_matches_only_a_window_of_its_own_length(tmp_path):
+    # The entry "İ.e." is stored lowercased, as five code points "i̇.e.". The
+    # four-character window "İ.e." lowercases to that same string, but only a
+    # five-character window may match a five-character abbreviation.
+    path = tmp_path / "extra.lex"
+    path.write_text("[abbreviations]\nİ.e.\n", encoding="utf-8")
+    lexicon = load_lexicon_extensions(str(path))
+    assert "i\u0307.e." in lexicon.abbreviations
+
+    def count(text, lex):
+        return len(list(parse_document(text, "plain", lexicon=lex).iter_sentences()))
+
+    # A plain set of abbreviations serves as well as the frozenset.
+    for lex in (lexicon, replace(lexicon, abbreviations=set(lexicon.abbreviations))):
+        assert count("Alpha holds, İ.e. Beta fails.", lex) == 2
+        assert count("Alpha holds, i\u0307.e. Beta fails.", lex) == 1
 
 
 def test_segmentation_requires_capital_or_digit_after_terminator():
@@ -372,7 +392,7 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
     doc = _parse_or_none(text, fmt)
     if doc is None:
         return
-    lexicon = doc.lexicon
+    lexicon, store = doc.lexicon, doc.store
     last_end = 0
     total = 0
     for paragraph in doc.iter_paragraphs():
@@ -394,6 +414,9 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
             last_end = s.end_byte
             words = tuple(t for t in sentence.tokens if t.kind == WORD)
             assert sentence.words == words
+            assert store.word_lower[sentence.first_word:sentence.end_word] == [
+                t.text.lower() for t in words]
+            assert all(t.kind == PUNCTUATION for t in sentence.tokens if t.text == ",")
             assert sentence.word_count == sum(
                 1 for t in sentence.tokens if t.kind in (WORD, NUMBER))
             assert sentence.stems == tuple(
@@ -489,6 +512,41 @@ _CONFIGS = st.sampled_from([
                    max_delay_words=3, max_pages=0.05, min_keyword_overlap=3,
                    malady_min_rule_kinds=1),
 ])
+
+
+
+# Lowercase triggers in mid-sentence, where only a case-folded comparison
+# finds them: a "the <x>ing of" gerund with a be-form (S102), "most <content
+# word>" and a superlative (S702), an intensity word (S701), a connector in
+# the opening window and a demonstrative (S201, S302).
+_MID_SENTENCE = [
+    "Our aim is the making of lenses. ",
+    "Their plan offers the most durable design. ",
+    "Our team built the best lens. ",
+    "The gain was significantly larger. ",
+    "The lens, however, failed. ",
+    "We saw that these lenses fail. ",
+]
+_CASE_TEXT = st.lists(
+    st.one_of(_TEXT, st.sampled_from(_RULE_PASSAGES), st.sampled_from(_MID_SENTENCE)),
+    max_size=8).map("".join)
+
+# An ASCII letter after a letter or digit: never a word's first character,
+# so changing its case moves no sentence bound and no span.
+_INNER_LETTER_RE = re.compile(r"(?<=[^\W_])[A-Za-z]")
+
+
+@settings(deadline=None)
+@given(_CASE_TEXT, st.sampled_from(FORMATS), _CONFIGS)
+def test_findings_ignore_the_case_of_inner_letters(text, fmt, cfg):
+    doc = _parse_or_none(text, fmt)
+    if doc is None:
+        return
+    swapped = parse_document(_INNER_LETTER_RE.sub(lambda m: m.group().swapcase(), text), fmt)
+    diagnostics, swapped_diagnostics = run_all(doc, cfg), run_all(swapped, cfg)
+    assert swapped_diagnostics == diagnostics
+    assert (infer_maladies(swapped, swapped_diagnostics, cfg)
+            == infer_maladies(doc, diagnostics, cfg))
 
 
 def _findings_of(doc, cfg, rule_id):
