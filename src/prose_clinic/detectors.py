@@ -4,9 +4,9 @@ Each rule is a pure function of (Document, AnalysisConfig) returning located
 diagnostics; word classes come from the lexicon the document was parsed with.
 The rules read the document's flat token arrays (doc.store) by index, not
 the Token views, and build a Span only for what they report. Words are
-tested in the lowercase forms the parse folded them to (store.word_lower),
+tested in the lowercase forms the scan folded them to (store.word_lower),
 against the lexicon's sets, and sentences are compared on slices of
-store.stems; no rule lowercases a word per occurrence.
+store.stems; no rule reads or lowercases a word's raw text.
 REGISTRY at the end of the module holds one Rule record per rule; the rule
 table, the severities and the treatment pointers are all read from it.
 """
@@ -27,9 +27,8 @@ from .document import (
     Document,
     Sentence,
     Span,
-    TokenStore,
 )
-from .lexicon import ConnectorClass, Lexicon
+from .lexicon import Lexicon
 
 
 class Severity(enum.Enum):
@@ -128,9 +127,10 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _comma_segments(sentence: Sentence) -> list[list[int]]:
+def _comma_segments(sentence: Sentence) -> list[tuple[list[int], int, int]]:
     """For each of the sentence's comma-separated segments, the indices of
-    its countable tokens: words plus numbers, as in sentence word counts.
+    its countable tokens (words plus numbers, as in sentence word counts)
+    and the range [lo, hi) of its WORD tokens in the store's word arrays.
     A sentence without a comma has one segment, and S103 needs two, so its
     segments are not built: the list is empty."""
     kind = sentence.store.kind
@@ -139,40 +139,44 @@ def _comma_segments(sentence: Sentence) -> list[list[int]]:
     if comma < 0:
         return []
     segments = []
-    while comma >= 0:
-        segments.append([i for i in range(pos, comma) if kind[i] < PUNCTUATION_CODE])
-        pos = comma + 1
+    word = sentence.first_word
+    while pos <= end:
+        stop = end if comma < 0 else comma
+        words = kind.count(WORD_CODE, pos, stop)
+        segments.append(([i for i in range(pos, stop) if kind[i] < PUNCTUATION_CODE],
+                         word, word + words))
+        word += words
+        pos = stop + 1
         comma = kind.find(COMMA_CODE, pos, end)
-    segments.append([i for i in range(pos, end) if kind[i] < PUNCTUATION_CODE])
     return segments
 
 
-def _qualifies_as_lead(store: TokenStore, segment: list[int], lexicon: Lexicon) -> bool:
+def _qualifies_as_lead(words: list[str], lo: int, hi: int, subordinators) -> bool:
     # A lead segment opens with a subordinator or an -ing form, possibly
     # behind one extra word ("even though ...", "and listening ...").
-    words = [store.text[i] for i in segment if store.kind[i] == WORD_CODE]
-    for word in words[:2]:
-        w = word.lower()
-        if lexicon.connector_class(w) is ConnectorClass.SUBORDINATING:
-            return True
-        if w.endswith("ing") and len(w) >= 5:
-            return True
-    return False
+    return any(w in subordinators or (w.endswith("ing") and len(w) >= 5)
+               for w in words[lo:min(hi, lo + 2)])
 
 
 def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S103: the subject-verb core is interrupted by a long comma insertion,
     or delayed past max_delay_words of leading clauses."""
     lexicon, store = doc.lexicon, doc.store
+    words = store.word_lower
+    connectors = lexicon.coordinating | lexicon.subordinating | lexicon.conjunctive_adverbs
+    # As in connector_class, a word that also coordinates does not subordinate.
+    subordinators = lexicon.subordinating - lexicon.coordinating
     out = []
     for sentence in doc.iter_sentences():
         segments = _comma_segments(sentence)
         if len(segments) >= 3:
-            prefix, insertion = segments[0], segments[1]
+            (prefix, lo, _), (insertion, _, _) = segments[:2]
+            # A number has no case to fold, so it is tested as it stands.
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
-                    and lexicon.connector_class(store.text[prefix[0]]) is ConnectorClass.NONE
+                    and (words[lo] if store.kind[prefix[0]] == WORD_CODE
+                         else store.token(prefix[0]).text) not in connectors
                     and len(insertion) >= cfg.min_insertion_words
-                    and any(segments[2:])):
+                    and any(countable for countable, _, _ in segments[2:])):
                 out.append(Diagnostic(
                     "S103", sentence.span,
                     len(insertion), cfg.min_insertion_words,
@@ -183,10 +187,10 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
         if len(segments) >= 2:
             total = 0
             leads = []
-            for segment in segments:
-                if segment and _qualifies_as_lead(store, segment, lexicon):
-                    total += len(segment)
-                    leads.append((segment[0], segment[-1] + 1))
+            for countable, lo, hi in segments:
+                if countable and _qualifies_as_lead(words, lo, hi, subordinators):
+                    total += len(countable)
+                    leads.append((countable[0], countable[-1] + 1))
                 else:
                     break
             if leads and total >= cfg.max_delay_words:

@@ -17,16 +17,16 @@ Conventions the rest of the package relies on:
 * footnote bodies are kept out of the body text, so they never feed the
   sentence and paragraph statistics.
 
-Tokens are not stored as objects. One parse fills a single TokenStore: flat
-arrays of every body token's text, start offset and kind code, plus each
-WORD token's lowercase form and token index, and the content stems. The
-parse folds each distinct word form once: its lowercase form is computed,
-shared by every occurrence, and tested once for a stopword and stemmed once.
-A Sentence holds its span, its word count and index ranges into that store.
-``Sentence.tokens``, ``Sentence.words`` and ``Sentence.stems`` are views
-built on each access; the detectors read the flat arrays instead and build
-a Span only for what they report. A token's line and column are found only
-when its span is built (``TokenStore.span``).
+A token is an offset range into the source, not an object: one parse fills
+a single TokenStore of flat arrays, with each body token's start and end
+offsets and kind code, each WORD token's lowercase form and token index, and
+the content stems. The scan folds each word as it matches it, through one
+table per parse (WordFold), so each distinct word form is lowercased, tested
+for a stopword and stemmed once. A Sentence holds its span, its word count
+and index ranges into that store. ``Sentence.tokens``, ``.words`` and
+``.stems`` are views built on each access, and only they slice a token's
+text out of the source; the detectors read the flat arrays and build a Span
+(with its line and column) only for what they report.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class DocumentStructureError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Half-open offset range into the source text, with the 1-based line and
     column of its start. Offsets index the source string."""
@@ -85,7 +85,7 @@ class Span:
             raise ValueError("line and column are 1-based")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     text: str
     kind: str
@@ -113,54 +113,88 @@ _FOOTNOTE_DEF_RE = re.compile(rf"^\[\^({_ID})\]:\s?(.*)$")
 _CLOSING_HASHES_RE = re.compile(r"\s#+\s*$")
 
 
-class TokenStore:
-    """Every token of one parse in flat arrays, in source order.
+class WordFold(dict):
+    """The fold table of one parse. The text of a word-like token maps to ()
+    for a number (no letter), or else to (lowercase form, content stem or
+    None for a stopword). A text is folded at its first lookup, and its
+    lowercase form gets the same entry, so all spellings of a form share one
+    lowercase string, one stopword test and one stem call."""
 
-    Token i is ``text[i]`` at offsets ``[start[i], start[i] + len(text[i]))``
-    with kind ``KINDS[kind[i]]``. Word i (the i-th WORD token) is token
-    ``word_token[i]``, and ``word_lower[i]`` is its lowercase form, one string
-    object shared by every occurrence of the form; the lexicon's word classes
-    are tested against these forms. ``stems`` holds the content stems (see
-    content_stems). The arrays are kept per document, not per sentence:
-    thousands of small per-sentence tuples, once freed, stay on CPython's
-    tuple free lists, which only a generation-2 collection clears, and the
-    parse no longer triggers one.
+    __slots__ = ("stopwords",)
+
+    def __init__(self, stopwords: frozenset[str]):
+        self.stopwords = stopwords
+
+    def __missing__(self, text: str) -> tuple:
+        if not _HAS_LETTER_RE.search(text):
+            entry = ()
+        else:
+            lower = text.lower()
+            entry = self.get(lower)
+            if entry is None:
+                # stem is called through this module's name, so that a
+                # wrapper put in its place sees every call.
+                entry = self[lower] = (lower, None if lower in self.stopwords else stem(lower))
+        self[text] = entry
+        return entry
+
+
+class TokenStore:
+    """Every token of one parse, in source order, in flat arrays.
+
+    Token i is ``source[start[i]:end[i]]`` of kind ``KINDS[kind[i]]``; no
+    token's text is kept as a string of its own. Word i (the i-th WORD
+    token) is token ``word_token[i]``, and ``word_lower[i]`` is its lowercase
+    form, one string shared by every occurrence of the form. ``stems`` holds
+    the stems of the words that are not stopwords, in order. The arrays are
+    per document, not per sentence: thousands of small per-sentence tuples,
+    once freed, stay on CPython's tuple free lists until a generation-2
+    collection, which the parse does not trigger.
     """
 
-    __slots__ = ("line_starts", "text", "start", "kind", "word_lower", "word_token", "stems")
+    __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_token",
+                 "stems")
 
     def __init__(self, source: str):
+        self.source = source
         # The offsets at which the source's lines start.
         self.line_starts = [0]
         self.line_starts += [m.end() for m in re.finditer("\n", source)]
-        self.text: list[str] = []
         self.start = array("l")
+        self.end = array("l")
         self.kind = bytearray()
         self.word_lower: list[str] = []
         self.word_token = array("l")
         self.stems: list[str] = []
 
-    def scan(self, source: str, start: int, end: int) -> int:
-        """Append the tokens of source[start:end] and the token indices of
-        its WORD tokens; returns how many of them are words (WORD plus NUMBER
-        tokens). The caller appends the WORD tokens' lowercase forms."""
-        text, starts, kinds = self.text, self.start, self.kind
+    def scan(self, start: int, end: int, fold: WordFold) -> int:
+        """Append the tokens of source[start:end], and for each WORD token
+        its token index, its lowercase form and its content stem, as fold
+        gives them; returns how many of the tokens are words (WORD plus
+        NUMBER tokens)."""
+        source, starts, ends, kinds = self.source, self.start, self.end, self.kind
+        word_token, word_lower, stems = self.word_token, self.word_lower, self.stems
         words = 0
         for m in _TOKEN_RE.finditer(source, start, end):
-            token, pos = m.group(), m.start()
+            pos, stop = m.span()
             starts.append(pos)
+            ends.append(stop)
             if m.lastgroup == "wordish":
                 words += 1
-                if _HAS_LETTER_RE.search(token):
+                entry = fold[m.group()]
+                if entry:
+                    lower, word_stem = entry
+                    word_token.append(len(kinds))
+                    word_lower.append(lower)
+                    if word_stem is not None:
+                        stems.append(word_stem)
                     kinds.append(WORD_CODE)
-                    self.word_token.append(len(text))
                 else:
                     kinds.append(NUMBER_CODE)
             elif m.lastgroup == "marker":
                 kinds.append(MARKER_CODE)
             else:
-                kinds.append(COMMA_CODE if token == "," else PUNCTUATION_CODE)
-            text.append(token)
+                kinds.append(COMMA_CODE if source[pos] == "," else PUNCTUATION_CODE)
         return words
 
     def span(self, start: int, end: int) -> Span:
@@ -172,8 +206,7 @@ class TokenStore:
     def token_span(self, i: int, j: int | None = None) -> Span:
         """The Span from token i through token j - 1 (token i alone by
         default)."""
-        last = i if j is None else j - 1
-        return self.span(self.start[i], self.start[last] + len(self.text[last]))
+        return self.span(self.start[i], self.end[i if j is None else j - 1])
 
     def word_span(self, i: int, j: int | None = None) -> Span:
         """The Span from word i through word j - 1 (word i alone by
@@ -181,15 +214,12 @@ class TokenStore:
         last = i if j is None else j - 1
         return self.token_span(self.word_token[i], self.word_token[last] + 1)
 
-    def tokens(self, lo: int, hi: int) -> list[Token]:
-        return [Token(self.text[i], KINDS[self.kind[i]], self.token_span(i))
-                for i in range(lo, hi)]
-
-    def words(self, lo: int, hi: int) -> list[Token]:
-        return [Token(self.text[i], WORD, self.token_span(i)) for i in self.word_token[lo:hi]]
+    def token(self, i: int) -> Token:
+        start, end = self.start[i], self.end[i]
+        return Token(self.source[start:end], KINDS[self.kind[i]], self.span(start, end))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """A sentence: its span, its word count (WORD plus NUMBER tokens) and
     the index ranges [first, end) of its tokens, words and content stems in
@@ -211,20 +241,21 @@ class Sentence:
 
     @property
     def tokens(self) -> tuple[Token, ...]:
-        return tuple(self.store.tokens(self.first_token, self.end_token))
+        return tuple([self.store.token(i) for i in range(self.first_token, self.end_token)])
 
     @property
     def words(self) -> tuple[Token, ...]:
         """The WORD tokens."""
-        return tuple(self.store.words(self.first_word, self.end_word))
+        store = self.store
+        return tuple([store.token(i) for i in store.word_token[self.first_word:self.end_word]])
 
     @property
     def stems(self) -> tuple[str, ...]:
-        """The content stems, in order and with repeats (see content_stems)."""
+        """The content stems, in order and with repeats (see TokenStore)."""
         return tuple(self.store.stems[self.first_stem:self.end_stem])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Paragraph:
     span: Span
     sentences: tuple[Sentence, ...]
@@ -234,21 +265,21 @@ class Paragraph:
         return sum(s.word_count for s in self.sentences)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Section:
     heading_text: str
     level: int
     paragraphs: tuple[Paragraph, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Footnote:
     id: str
     marker_span: Span
     body_span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     source: str
     format: str
@@ -275,12 +306,19 @@ class Document:
             yield from paragraph.sentences
 
 
+def scan_text(text: str, lexicon: Lexicon) -> TokenStore:
+    """A TokenStore of all of text, its words folded with the lexicon's
+    stopwords as a parse folds them."""
+    store = TokenStore(text)
+    store.scan(0, len(text), WordFold(lexicon.stopwords))
+    return store
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize text into word, number, punctuation, and footnote-marker
     tokens with exact spans."""
-    store = TokenStore(text)
-    store.scan(text, 0, len(text))
-    return store.tokens(0, len(store.text))
+    store = scan_text(text, default_lexicon())
+    return [store.token(i) for i in range(len(store.kind))]
 
 
 @functools.lru_cache(maxsize=16)
@@ -338,55 +376,6 @@ def _sentence_bounds(source: str, start: int, end: int, abbreviations) -> list[t
     return bounds
 
 
-def content_stems(words, lexicon: Lexicon) -> list[str]:
-    """Stems of the content (non-stopword) words among the given word texts,
-    in order and with repeats, so that counts over them keep their
-    multiplicity."""
-    # A list comprehension, not tuple(<generator>): CPython builds the latter
-    # in a 10-slot tuple and shrinks it, so one call per sentence would leave
-    # a tuple on a free list of another size each time.
-    return [stem(w) for w in words if not lexicon.is_stopword(w)]
-
-
-def _build_sentences(source: str, start: int, end: int, store: TokenStore, lexicon: Lexicon,
-                     folded: dict[str, str],
-                     content: dict[str, str | None]) -> tuple[Sentence, ...]:
-    """The sentences of source[start:end], with their tokens, folded words
-    and content stems appended to the store.
-
-    folded and content are the parse's fold tables: word text -> its shared
-    lowercase form (a form also maps to itself), and lowercase form -> its
-    content stem, or None for a stopword."""
-    text, word_token, word_lower = store.text, store.word_token, store.word_lower
-    stems = store.stems
-    stopwords = lexicon.stopwords
-    sentences = []
-    for s, e in _sentence_bounds(source, start, end, lexicon.abbreviations):
-        first_token, first_word, first_stem = len(text), len(word_lower), len(stems)
-        word_count = store.scan(source, s, e)
-        for i in word_token[first_word:]:
-            word = text[i]
-            lower = folded.get(word)
-            if lower is None:
-                lower = word.lower()
-                lower = folded[word] = folded.setdefault(lower, lower)
-                if lower not in content:
-                    # Through this module's name, as in content_stems, so
-                    # that a wrapper put in its place sees every call.
-                    content[lower] = None if lower in stopwords else stem(lower)
-            word_lower.append(lower)
-            word_stem = content[lower]
-            if word_stem is not None:
-                stems.append(word_stem)
-        sentences.append(Sentence(
-            store.span(s, e), word_count, store,
-            first_token, len(text),
-            first_word, len(word_lower),
-            first_stem, len(stems),
-        ))
-    return tuple(sentences)
-
-
 def parse_document(source: str, format: str = MARKDOWN, *,
                    lexicon: Lexicon | None = None,
                    words_per_page: int = DEFAULT_WORDS_PER_PAGE) -> Document:
@@ -401,8 +390,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
-    folded: dict[str, str] = {}
-    content: dict[str, str | None] = {}
+    kind, word_lower, stems = store.kind, store.word_lower, store.stems
+    fold = WordFold(lexicon.stopwords)
 
     # (heading, level, paragraphs); the untitled section opens up front and
     # is dropped at the end if a heading followed it and it stayed empty.
@@ -416,12 +405,17 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         nonlocal block_start
         if block_start < 0:
             return
-        # Block lines are never blank, so there is at least one sentence.
-        sentences = _build_sentences(source, block_start, block_end, store, lexicon,
-                                     folded, content)
+        sentences = []
+        for s, e in _sentence_bounds(source, block_start, block_end, lexicon.abbreviations):
+            first_token, first_word, first_stem = len(kind), len(word_lower), len(stems)
+            word_count = store.scan(s, e, fold)
+            sentences.append(Sentence(store.span(s, e), word_count, store,
+                                      first_token, len(kind), first_word, len(word_lower),
+                                      first_stem, len(stems)))
         block_start = -1
+        # Block lines are never blank, so there is at least one sentence.
         span = store.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
-        sections[-1][2].append(Paragraph(span, sentences))
+        sections[-1][2].append(Paragraph(span, tuple(sentences)))
 
     offset = 0
     for raw_line in source.split("\n"):

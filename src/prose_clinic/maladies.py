@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .document import WORD, Document, Section, Span, content_stems, tokenize
+from .document import Document, Section, Span, scan_text
 
 # Pseudo rule id for evidence that points at a section, not a diagnostic.
 RELEVANCE_EVIDENCE = "RELEVANCE"
@@ -89,12 +89,12 @@ def section_relevance(section: Section, keywords: tuple[str, ...]) -> int:
 
 def extract_keywords(doc: Document, cfg: AnalysisConfig) -> tuple[str, ...]:
     """Rank content stems of the opening (first section's heading and first
-    two paragraphs) by frequency, ties broken alphabetically."""
+    two paragraphs) by frequency, ties broken alphabetically. The heading's
+    words are folded as the parse folds the body's."""
     counts: Counter[str] = Counter()
     if doc.sections:
         opening = doc.sections[0]
-        heading = [t.text for t in tokenize(opening.heading_text) if t.kind == WORD]
-        counts.update(content_stems(heading, doc.lexicon))
+        counts.update(scan_text(opening.heading_text, doc.lexicon).stems)
         for paragraph in opening.paragraphs[:2]:
             for sentence in paragraph.sentences:
                 counts.update(sentence.stems)

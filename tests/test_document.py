@@ -1,6 +1,7 @@
 import gc
 import re
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -20,8 +21,8 @@ from prose_clinic.document import (
     parse_document,
     tokenize,
 )
-from prose_clinic.lexicon import load_lexicon_extensions, stem
-from prose_clinic.maladies import RELEVANCE_EVIDENCE, infer_maladies
+from prose_clinic.lexicon import default_lexicon, load_lexicon_extensions, stem
+from prose_clinic.maladies import RELEVANCE_EVIDENCE, extract_keywords, infer_maladies
 from prose_clinic.reporting import build_report, parse_machine, render_machine
 
 from docbuild import INTENSITY_ADJ, INTENSITY_ADV
@@ -526,6 +527,15 @@ _MID_SENTENCE = [
     "The gain was significantly larger. ",
     "The lens, however, failed. ",
     "We saw that these lenses fail. ",
+    # S103: lead clauses of at least max_delay_words words that open on an
+    # -ing form or a subordinator, first or second word, and a paragraph
+    # whose first sentence is comma-split behind a lowercase connector.
+    "Reading the long report on the lens trials from the wet spring of that year, "
+    "we saw the flaw. ",
+    "Although the cold rain fell on the town, working through the long wet night "
+    "with care, the crew held the line. ",
+    "Even though the first trial of the new lens failed in the cold, the team kept going. ",
+    "\n\nstill, the lens that we ground by hand over many long nights, failed. ",
 ]
 _CASE_TEXT = st.lists(
     st.one_of(_TEXT, st.sampled_from(_RULE_PASSAGES), st.sampled_from(_MID_SENTENCE)),
@@ -547,6 +557,46 @@ def test_findings_ignore_the_case_of_inner_letters(text, fmt, cfg):
     assert swapped_diagnostics == diagnostics
     assert (infer_maladies(swapped, swapped_diagnostics, cfg)
             == infer_maladies(doc, diagnostics, cfg))
+
+
+def _keywords_by_tokenize(doc, cfg):
+    """extract_keywords as it was computed from tokenize: the heading's WORD
+    tokens, stopwords dropped, each stemmed as it stands."""
+    counts = Counter()
+    if doc.sections:
+        opening = doc.sections[0]
+        counts.update([stem(t.text) for t in tokenize(opening.heading_text)
+                       if t.kind == WORD and not doc.lexicon.is_stopword(t.text)])
+        for paragraph in opening.paragraphs[:2]:
+            for sentence in paragraph.sentences:
+                counts.update(sentence.stems)
+    return tuple(sorted(counts, key=lambda s: (-counts[s], s))[:cfg.keyword_count])
+
+
+# The default lexicon, and one where some of _TEXT's capitalised and
+# non-ASCII words are stopwords, so that the heading's stopword test sees
+# folded forms.
+_LEXICONS = st.sampled_from([
+    default_lexicon(),
+    replace(default_lexicon(),
+            stopwords=default_lexicon().stopwords | {"alpha", "ångström", "i\u0307s", "model"}),
+])
+
+
+# One line of _TEXT and of its pieces, joined by spaces so that the pieces'
+# words stand alone.
+_HEADING = st.lists(st.one_of(_TEXT, _PIECES), min_size=1, max_size=6).map(
+    lambda parts: " ".join(" ".join(parts).split()))
+
+
+@settings(deadline=None)
+@given(_HEADING, _RULE_TEXT, _LEXICONS, _CONFIGS)
+def test_keywords_match_the_tokenize_computation(heading, body, lexicon, cfg):
+    try:
+        doc = parse_document(f"# {heading}\n\n{body}", "markdown", lexicon=lexicon)
+    except DocumentStructureError:
+        return
+    assert extract_keywords(doc, cfg) == _keywords_by_tokenize(doc, cfg)
 
 
 def _findings_of(doc, cfg, rule_id):
@@ -657,3 +707,20 @@ def test_parse_holds_few_tracked_objects_per_sentence():
         gc.enable()
     sentences = sum(1 for _ in doc.iter_sentences())
     assert held / sentences < 5
+
+
+def test_parse_retains_few_bytes_per_source_character():
+    # A token is an offset range into the source, so the parse keeps no copy
+    # of any token's text: what it retains is a few arrays, the shared
+    # lowercase forms and stems, and the sentence records.
+    text = "\n\n".join(_RULE_PASSAGES * 150)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = parse_document(text, "plain")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert doc.total_words > 40_000
+    assert retained / len(text) < 20
