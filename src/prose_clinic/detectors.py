@@ -214,11 +214,12 @@ def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
             if _signals_link(cur, cfg, doc.lexicon):
                 continue
             if _share_no_stem(prev, cur):
+                span = cur.span
                 out.append(Diagnostic(
-                    "S201", cur.span, 0, 1,
+                    "S201", span, 0, 1,
                     "no explicit link to the previous sentence (no leading "
                     "connector, repeated key term, or demonstrative)",
-                    (prev.span, cur.span),
+                    (prev.span, span),
                 ))
     return out
 
@@ -271,11 +272,12 @@ def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnosti
         openers = [p.sentences[0] for p in section.paragraphs]
         for prev, cur in zip(openers, openers[1:]):
             if _share_no_stem(prev, cur):
+                span = cur.span
                 out.append(Diagnostic(
-                    "S401", cur.span, 0, 1,
+                    "S401", span, 0, 1,
                     "paragraph opener carries no key term over from the "
                     "previous opener",
-                    (prev.span, cur.span),
+                    (prev.span, span),
                 ))
     return out
 

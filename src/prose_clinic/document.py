@@ -22,16 +22,17 @@ a single TokenStore of flat arrays, with each body token's start and end
 offsets and kind code, each WORD token's lowercase form and token index, and
 the content stems. The scan folds each word as it matches it, through one
 table per parse (WordFold), so each distinct word form is lowercased, tested
-for a stopword and stemmed once. A Sentence holds its span, its word count
-and index ranges into that store. ``Sentence.tokens``, ``.words`` and
-``.stems`` are views built on each access, and only they slice a token's
-text out of the source; the detectors read the flat arrays and build a Span
-(with its line and column) only for what they report.
+for a stopword and stemmed once. A Sentence holds its word count and index
+ranges into that store, and a Paragraph its sentences: sentence bounds fall
+on token boundaries, so the store is the one record of where text lies.
+``.span``, ``Sentence.tokens``, ``.words`` and ``.stems`` are views built on
+each access, and only the Token views slice text out of the source; the
+parse builds a Span (with its line and column) only for footnotes, and the
+detectors only for what they report.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from array import array
 from bisect import bisect_right
@@ -221,15 +222,14 @@ class TokenStore:
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """A sentence: its span, its word count (WORD plus NUMBER tokens) and
-    the index ranges [first, end) of its tokens, words and content stems in
-    the parse's TokenStore.
+    """A sentence: its word count (WORD plus NUMBER tokens) and the index
+    ranges [first, end) of its tokens, words and content stems in the
+    parse's TokenStore. Two sentences are equal when these are.
 
-    tokens, words and stems are views built on each access; code that walks
-    many sentences reads the store's arrays instead.
+    span, tokens, words and stems are views built on each access; code that
+    walks many sentences reads the store's arrays instead.
     """
 
-    span: Span
     word_count: int
     store: TokenStore = field(repr=False, compare=False)
     first_token: int
@@ -238,6 +238,11 @@ class Sentence:
     end_word: int
     first_stem: int
     end_stem: int
+
+    @property
+    def span(self) -> Span:
+        """From the first token's start to the last token's end."""
+        return self.store.token_span(self.first_token, self.end_token)
 
     @property
     def tokens(self) -> tuple[Token, ...]:
@@ -257,8 +262,15 @@ class Sentence:
 
 @dataclass(frozen=True, slots=True)
 class Paragraph:
-    span: Span
+    """A paragraph: its sentences, one at least."""
+
     sentences: tuple[Sentence, ...]
+
+    @property
+    def span(self) -> Span:
+        """From the first sentence's first token to the last one's last."""
+        first, last = self.sentences[0], self.sentences[-1]
+        return first.store.token_span(first.first_token, last.end_token)
 
     @property
     def word_count(self) -> int:
@@ -321,23 +333,10 @@ def tokenize(text: str) -> list[Token]:
     return [store.token(i) for i in range(len(store.kind))]
 
 
-@functools.lru_cache(maxsize=16)
-def _abbreviations_by_length(
-        abbreviations: frozenset[str]) -> tuple[tuple[int, frozenset[str]], ...]:
-    """The abbreviations grouped by length, as (length, abbreviations) pairs.
-    Cached per abbreviation set, so a sentence bound lowercases one window
-    per distinct length, not one per abbreviation."""
-    buckets: dict[int, set[str]] = {}
-    for abbr in abbreviations:
-        buckets.setdefault(len(abbr), set()).add(abbr)
-    return tuple((n, frozenset(bucket)) for n, bucket in buckets.items())
-
-
-def _ends_with_abbreviation(source: str, end: int, abbreviations) -> bool:
-    # A window of n characters matches only an abbreviation of length n.
-    # frozenset() returns a frozenset as it is, and makes any other
-    # collection a hashable key.
-    for n, bucket in _abbreviations_by_length(frozenset(abbreviations)):
+def _ends_with_abbreviation(source: str, end: int, abbreviations: dict[int, set[str]]) -> bool:
+    # The abbreviations come grouped by length: a window of n characters
+    # matches only an abbreviation of length n.
+    for n, bucket in abbreviations.items():
         pos = end - n
         if pos < 0:
             continue
@@ -349,7 +348,8 @@ def _ends_with_abbreviation(source: str, end: int, abbreviations) -> bool:
     return False
 
 
-def _sentence_bounds(source: str, start: int, end: int, abbreviations) -> list[tuple[int, int]]:
+def _sentence_bounds(source: str, start: int, end: int,
+                     abbreviations: dict[int, set[str]]) -> list[tuple[int, int]]:
     bounds = []
     pos = start
     while pos < end and source[pos].isspace():
@@ -392,6 +392,9 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     store = TokenStore(source)
     kind, word_lower, stems = store.kind, store.word_lower, store.stems
     fold = WordFold(lexicon.stopwords)
+    abbreviations: dict[int, set[str]] = {}  # by length
+    for abbr in lexicon.abbreviations:
+        abbreviations.setdefault(len(abbr), set()).add(abbr)
 
     # (heading, level, paragraphs); the untitled section opens up front and
     # is dropped at the end if a heading followed it and it stayed empty.
@@ -406,16 +409,14 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         if block_start < 0:
             return
         sentences = []
-        for s, e in _sentence_bounds(source, block_start, block_end, lexicon.abbreviations):
+        for s, e in _sentence_bounds(source, block_start, block_end, abbreviations):
             first_token, first_word, first_stem = len(kind), len(word_lower), len(stems)
             word_count = store.scan(s, e, fold)
-            sentences.append(Sentence(store.span(s, e), word_count, store,
-                                      first_token, len(kind), first_word, len(word_lower),
-                                      first_stem, len(stems)))
+            sentences.append(Sentence(word_count, store, first_token, len(kind),
+                                      first_word, len(word_lower), first_stem, len(stems)))
         block_start = -1
         # Block lines are never blank, so there is at least one sentence.
-        span = store.span(sentences[0].span.start_byte, sentences[-1].span.end_byte)
-        sections[-1][2].append(Paragraph(span, tuple(sentences)))
+        sections[-1][2].append(Paragraph(tuple(sentences)))
 
     offset = 0
     for raw_line in source.split("\n"):

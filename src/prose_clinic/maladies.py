@@ -102,13 +102,6 @@ def extract_keywords(doc: Document, cfg: AnalysisConfig) -> tuple[str, ...]:
     return tuple(ranked[: cfg.keyword_count])
 
 
-def _locate_paragraph(starts, paragraphs, span: Span):
-    i = bisect_right(starts, span.start_byte) - 1
-    if i >= 0 and span.start_byte < paragraphs[i].span.end_byte:
-        return i
-    return None
-
-
 def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
                    keywords: tuple[str, ...] | None = None) -> list[MaladyFinding]:
     """Derive malady findings from a diagnostic list. No symptoms, no
@@ -141,14 +134,16 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
         ))
 
     # PoorChunking: chunk symptoms in three or more distinct paragraphs.
-    paragraphs = list(doc.iter_paragraphs())
-    starts = [p.span.start_byte for p in paragraphs]
     chunk = [d for d in diagnostics if d.rule_id in _CHUNK_RULES]
     touched = set()
-    for diag in chunk:
-        idx = _locate_paragraph(starts, paragraphs, diag.span)
-        if idx is not None:
-            touched.add(idx)
+    if chunk:  # a paragraph's span is built on access: build none for nothing
+        spans = [p.span for p in doc.iter_paragraphs()]
+        starts = [span.start_byte for span in spans]
+        for diag in chunk:
+            start = diag.span.start_byte
+            i = bisect_right(starts, start) - 1
+            if i >= 0 and start < spans[i].end_byte:
+                touched.add(i)
     if len(touched) >= 3:
         findings.append(MaladyFinding(
             MaladyKind.POOR_CHUNKING, len(touched),

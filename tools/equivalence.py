@@ -4,10 +4,10 @@
     python3 tools/equivalence.py --src ../parent/src --seed 1 > parent.txt
     diff parent.txt change.txt
 
-Generates the seed-N inputs of the three perfbench workloads
-(perfbench/gen.py), then runs ``prose_clinic.cli.run`` from the package
-under --src on each of them with its workload's format, config and lexicon,
-once per output form. Prints one line per case:
+Generates the seed-N inputs of the three perfbench workloads as
+perfbench/run.py does, then runs ``prose_clinic.cli.run`` from the package
+under --src on each of them with its workload's format, config and lexicon
+(from run.py's WORKLOADS), once per output form. Prints one line per case:
 
     workload doc form exit sha256-of-stdout
 
@@ -28,29 +28,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-import gen  # noqa: E402
+import run  # noqa: E402
 
 FORMS = ("human", "machine")
 
-# name -> (format, generator, config text, lexicon text), as in perfbench/run.py.
-WORKLOADS = {
-    "monograph": ("markdown", lambda seed: [gen.monograph(seed)],
-                  gen.MONOGRAPH_CONFIG, gen.LEXICON),
-    "submissions": ("markdown", gen.submissions,
-                    gen.SUBMISSIONS_CONFIG, gen.SUBMISSIONS_LEXICON),
-    "symptom-dense": ("plain", lambda seed: [gen.symptom_dense(seed)],
-                      gen.DENSE_CONFIG, gen.DENSE_LEXICON),
-}
 
-
-def _analyse(run, argv) -> tuple[int, str]:
-    """run(argv) with stdout captured; returns the exit code and the
+def _analyse(entry, argv) -> tuple[int, str]:
+    """entry(argv) with stdout captured; returns the exit code and the
     SHA-256 of the UTF-8 bytes written."""
     buffer = io.BytesIO()
     out = io.TextIOWrapper(buffer, encoding="utf-8", newline="")
     saved, sys.stdout = sys.stdout, out
     try:
-        rc = run(argv)
+        rc = entry(argv)
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code if isinstance(exc.code, int) else 2
     finally:
@@ -70,13 +60,13 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for workload, (fmt, generate, config, lexicon) in WORKLOADS.items():
+        for workload, (fmt, _, config, lexicon) in run.WORKLOADS.items():
             os.mkdir(workload)
             cfg_path = os.path.join(workload, "workload.cfg")
             lex_path = os.path.join(workload, "workload.lex")
             Path(cfg_path).write_text(config, encoding="utf-8")
             Path(lex_path).write_text(lexicon, encoding="utf-8")
-            for doc in generate(args.seed):
+            for doc in run._generate(workload, args.seed):
                 path = os.path.join(workload, doc.name)
                 Path(path).write_text(doc.text, encoding="utf-8")
                 for form in FORMS:
