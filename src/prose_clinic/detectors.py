@@ -104,7 +104,7 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
         if be_forms.isdisjoint(words[lo:hi]):
             continue
         be = next(i for i in range(lo, hi) if words[i] in be_forms)
-        noms = [i for i in range(lo, hi) if lexicon.is_nominalization(words[i])]
+        noms = [i for i in range(lo, hi) if lexicon.is_folded_nominalization(words[i])]
         gerund = None
         for i in range(lo, hi - 2):
             mid = words[i + 1]
@@ -169,6 +169,7 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     out = []
     for sentence in doc.iter_sentences():
         segments = _comma_segments(sentence)
+        span = None  # the sentence's span, built for its first finding
         if len(segments) >= 3:
             (prefix, lo, _), (insertion, _, _) = segments[:2]
             # A number has no case to fold, so it is tested as it stands.
@@ -177,8 +178,9 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
                          else store.token(prefix[0]).text) not in connectors
                     and len(insertion) >= cfg.min_insertion_words
                     and any(countable for countable, _, _ in segments[2:])):
+                span = sentence.span
                 out.append(Diagnostic(
-                    "S103", sentence.span,
+                    "S103", span,
                     len(insertion), cfg.min_insertion_words,
                     f"subject-verb core interrupted by a "
                     f"{len(insertion)}-word insertion",
@@ -195,7 +197,7 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
                     break
             if leads and total >= cfg.max_delay_words:
                 out.append(Diagnostic(
-                    "S103", sentence.span,
+                    "S103", span or sentence.span,
                     total, cfg.max_delay_words,
                     f"subject-verb core delayed by {total} words of "
                     f"leading clauses",
@@ -210,16 +212,16 @@ def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     A bare pronoun does not count as a link."""
     out = []
     for paragraph in doc.iter_paragraphs():
+        span = None  # cur's span, when the pair before found it unlinked
         for prev, cur in zip(paragraph.sentences, paragraph.sentences[1:]):
-            if _signals_link(cur, cfg, doc.lexicon):
-                continue
-            if _share_no_stem(prev, cur):
+            prev_span, span = span, None
+            if not _signals_link(cur, cfg, doc.lexicon) and _share_no_stem(prev, cur):
                 span = cur.span
                 out.append(Diagnostic(
                     "S201", span, 0, 1,
                     "no explicit link to the previous sentence (no leading "
                     "connector, repeated key term, or demonstrative)",
-                    (prev.span, span),
+                    (prev_span or prev.span, span),
                 ))
     return out
 
@@ -270,14 +272,16 @@ def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnosti
     out = []
     for section in doc.sections:
         openers = [p.sentences[0] for p in section.paragraphs]
+        span = None  # cur's span, when the pair before was a break
         for prev, cur in zip(openers, openers[1:]):
+            prev_span, span = span, None
             if _share_no_stem(prev, cur):
                 span = cur.span
                 out.append(Diagnostic(
                     "S401", span, 0, 1,
                     "paragraph opener carries no key term over from the "
                     "previous opener",
-                    (prev.span, span),
+                    (prev_span or prev.span, span),
                 ))
     return out
 
@@ -329,7 +333,7 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
     families: dict[str, list[int]] = {}
     for i, word in enumerate(store.word_lower):
         if word in intensity:
-            families.setdefault(lexicon.intensity_family(word), []).append(i)
+            families.setdefault(lexicon.folded_intensity_family(word), []).append(i)
     out = []
     for family, hits in families.items():
         rate = len(hits) / pages

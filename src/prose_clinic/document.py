@@ -20,11 +20,20 @@ Conventions the rest of the package relies on:
 A token is an offset range into the source, not an object: one parse fills
 a single TokenStore of flat arrays, with each body token's start and end
 offsets and kind code, each WORD token's lowercase form and token index, and
-the content stems. The scan folds each word as it matches it, through one
-table per parse (WordFold), so each distinct word form is lowercased, tested
-for a stopword and stemmed once. A Sentence holds its word count and index
-ranges into that store, and a Paragraph its sentences: sentence bounds fall
-on token boundaries, so the store is the one record of where text lies.
+the content stems. The scan is batched: no Python code runs per token. One
+findall cuts the text into chunks (a token with the whitespace before it),
+one table per parse (WordFold) maps each distinct chunk to its kind, length,
+lowercase form and stem, and C-level iterators turn those entries into the
+arrays. So each distinct word form is lowercased and stemmed once. A long
+paragraph is matched in pieces of bounded size, cut where a token ends, so
+its chunk strings are never all held at once.
+
+The parse scans each paragraph once. Sentence bounds come from a pass over
+the break candidates (a terminator, whitespace and a non-space character),
+and they fall on token boundaries: each sentence's token and word ranges are
+found by bisecting the store's start offsets and word token indices at its
+end. A Sentence holds its word count and index ranges into that store, and a
+Paragraph its sentences, so the store is the one record of where text lies.
 ``.span``, ``Sentence.tokens``, ``.words`` and ``.stems`` are views built on
 each access, and only the Token views slice text out of the source; the
 parse builds a Span (with its line and column) only for footnotes, and the
@@ -35,8 +44,10 @@ from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count
+from operator import itemgetter, sub
 from typing import Iterator
 
 from .lexicon import Lexicon, default_lexicon, stem
@@ -100,43 +111,72 @@ _UNIT = r"(?:\d+(?:[.,]\d+)+|[^\W_]+)"
 # Without "[", a run of "[^" cannot restart the scan at every bracket.
 _ID = r"[^\[\]\s]+"
 _MARKER = rf"\[\^{_ID}\]"
-_TOKEN_RE = re.compile(
-    rf"(?P<marker>{_MARKER})"
-    rf"|(?P<wordish>{_UNIT}(?:[-‐‑'’]{_UNIT})*)"
-    r"|(?P<punct>\S)"
-)
+# A chunk is a token with the whitespace before it: a footnote marker, a
+# word-like token, or any other non-space character as a mark. Tokens never
+# hold whitespace, and at a non-space character one of the alternatives
+# always matches, so the chunks of a range that ends on a token are its
+# tokens.
+_CHUNK_RE = re.compile(rf"\s*(?:{_MARKER}|{_UNIT}(?:[-‐‑'’]{_UNIT})*|\S)")
+# The end of a token: a non-space character and the whitespace after it.
+_TOKEN_END_RE = re.compile(r"\S\s")
 _MARKER_RE = re.compile(_MARKER)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]")
-_TERMINATOR_RE = re.compile(r"[.!?]+")
+# A sentence break candidate: the last mark of a terminator run, whitespace,
+# and a non-space character. One mark, not "[.!?]+", so that a long run of
+# marks with no whitespace after it is not matched again from each mark.
+_BREAK_RE = re.compile(r"[.!?]\s+(?=\S)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
 _FOOTNOTE_DEF_RE = re.compile(rf"^\[\^({_ID})\]:\s?(.*)$")
 # "\s#+", not "\s+#+", which backtracks over every whitespace run in a heading.
 _CLOSING_HASHES_RE = re.compile(r"\s#+\s*$")
 
+# TokenStore.scan matches at most about this many characters at a time, so
+# that the chunk strings of one long paragraph are never all held at once.
+_PIECE = 32_768
+# The fields of a WordFold entry.
+_CODE, _LENGTH, _FORM, _STEM = map(itemgetter, range(4))
+# bytes.translate table: 1 for the WORD kind code, 0 for every other code.
+_IS_WORD = bytes(code == WORD_CODE for code in range(256))
+
 
 class WordFold(dict):
-    """The fold table of one parse. The text of a word-like token maps to ()
-    for a number (no letter), or else to (lowercase form, content stem or
-    None for a stopword). A text is folded at its first lookup, and its
-    lowercase form gets the same entry, so all spellings of a form share one
-    lowercase string, one stopword test and one stem call."""
+    """The fold table of one parse: a chunk of source text (a token, maybe
+    with whitespace before it) maps to (kind code, token length, lowercase
+    form, content stem). The form and the stem are None but for a WORD
+    token, and the stem is None for a stopword too. A chunk is folded at its
+    first lookup: with whitespace in front it takes its token's entry, and a
+    word's lowercase form is kept as a key of its own, so all spellings of a
+    form share one lowercase string, one stopword test and one stem call."""
 
     __slots__ = ("stopwords",)
 
     def __init__(self, stopwords: frozenset[str]):
         self.stopwords = stopwords
 
-    def __missing__(self, text: str) -> tuple:
-        if not _HAS_LETTER_RE.search(text):
-            entry = ()
+    def __missing__(self, chunk: str) -> tuple:
+        token = chunk.lstrip()
+        if len(token) < len(chunk):
+            entry = self[token]
+        elif _MARKER_RE.fullmatch(chunk):
+            entry = (MARKER_CODE, len(chunk), None, None)
+        elif len(chunk) == 1 and not chunk.isalnum():
+            # A word-like token starts with a letter or digit ([^\W_] is
+            # isalnum), so a single other character is a mark.
+            entry = (COMMA_CODE if chunk == "," else PUNCTUATION_CODE, 1, None, None)
+        elif not _HAS_LETTER_RE.search(chunk):
+            entry = (NUMBER_CODE, len(chunk), None, None)
         else:
-            lower = text.lower()
-            entry = self.get(lower)
-            if entry is None:
+            lower = chunk.lower()
+            form = self.get(lower)
+            if form is None:
                 # stem is called through this module's name, so that a
                 # wrapper put in its place sees every call.
-                entry = self[lower] = (lower, None if lower in self.stopwords else stem(lower))
-        self[text] = entry
+                form = self[lower] = (WORD_CODE, len(lower), lower,
+                                      None if lower in self.stopwords else stem(lower))
+            # Lowercasing can change the length ("İ" becomes two code
+            # points), and the entry holds the chunk's own.
+            entry = form if form[1] == len(chunk) else (WORD_CODE, len(chunk), *form[2:])
+        self[chunk] = entry
         return entry
 
 
@@ -150,7 +190,8 @@ class TokenStore:
     the stems of the words that are not stopwords, in order. The arrays are
     per document, not per sentence: thousands of small per-sentence tuples,
     once freed, stay on CPython's tuple free lists until a generation-2
-    collection, which the parse does not trigger.
+    collection, which the parse does not trigger. scan appends a whole
+    range at a time, and a sentence is an index range into each array.
     """
 
     __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_token",
@@ -168,35 +209,44 @@ class TokenStore:
         self.word_token = array("l")
         self.stems: list[str] = []
 
-    def scan(self, start: int, end: int, fold: WordFold) -> int:
+    def scan(self, start: int, end: int, fold: WordFold) -> None:
         """Append the tokens of source[start:end], and for each WORD token
         its token index, its lowercase form and its content stem, as fold
-        gives them; returns how many of the tokens are words (WORD plus
-        NUMBER tokens)."""
+        gives them.
+
+        No Python code runs per token, but for chunks the fold has not seen.
+        One findall cuts a piece of the range into chunks; fold maps each
+        chunk to its entry; and map, accumulate, compress and bytes.translate
+        turn the entries into the arrays. The range is matched in pieces of
+        about _PIECE characters, each cut at the end of a token: a token
+        never holds whitespace, so the pieces give the tokens of the whole.
+        """
         source, starts, ends, kinds = self.source, self.start, self.end, self.kind
-        word_token, word_lower, stems = self.word_token, self.word_lower, self.stems
-        words = 0
-        for m in _TOKEN_RE.finditer(source, start, end):
-            pos, stop = m.span()
-            starts.append(pos)
-            ends.append(stop)
-            if m.lastgroup == "wordish":
-                words += 1
-                entry = fold[m.group()]
-                if entry:
-                    lower, word_stem = entry
-                    word_token.append(len(kinds))
-                    word_lower.append(lower)
-                    if word_stem is not None:
-                        stems.append(word_stem)
-                    kinds.append(WORD_CODE)
-                else:
-                    kinds.append(NUMBER_CODE)
-            elif m.lastgroup == "marker":
-                kinds.append(MARKER_CODE)
-            else:
-                kinds.append(COMMA_CODE if source[pos] == "," else PUNCTUATION_CODE)
-        return words
+        # Stop at the last token: a chunk regex that starts with \s* would
+        # try every position of a trailing whitespace run again.
+        while end > start and source[end - 1].isspace():
+            end -= 1
+        while start < end:
+            cut = end
+            if end - start > _PIECE:
+                m = _TOKEN_END_RE.search(source, start + _PIECE, end)
+                if m:
+                    cut = m.start() + 1
+            first = len(kinds)
+            chunks = _CHUNK_RE.findall(source, start, cut)
+            entries = list(map(fold.__getitem__, chunks))
+            # A chunk ends where its token does. (array.fromlist takes a
+            # list faster than array.extend takes an iterator.)
+            piece_ends = list(accumulate(map(len, chunks), initial=start))
+            del piece_ends[0]
+            ends.fromlist(piece_ends)
+            starts.fromlist(list(map(sub, piece_ends, map(_LENGTH, entries))))
+            codes = bytes(map(_CODE, entries))
+            kinds += codes
+            self.word_token.fromlist(list(compress(count(first), codes.translate(_IS_WORD))))
+            self.word_lower += filter(None, map(_FORM, entries))
+            self.stems += filter(None, map(_STEM, entries))
+            start = cut
 
     def span(self, start: int, end: int) -> Span:
         """The Span of [start, end), with the 1-based line and column of its
@@ -350,23 +400,22 @@ def _ends_with_abbreviation(source: str, end: int, abbreviations: dict[int, set[
 
 def _sentence_bounds(source: str, start: int, end: int,
                      abbreviations: dict[int, set[str]]) -> list[tuple[int, int]]:
+    """The sentences of source[start:end], trimmed of whitespace. A sentence
+    ends on a run of terminators followed by whitespace and a capital or a
+    digit, unless the run is one "." that ends an abbreviation."""
     bounds = []
     pos = start
     while pos < end and source[pos].isspace():
         pos += 1
-    for m in _TERMINATOR_RE.finditer(source, start, end):
-        if m.start() < pos:
-            continue
-        j = m.end()
-        while j < end and source[j].isspace():
-            j += 1
-        if j == m.end() or j >= end:
-            continue  # no whitespace gap, or only trailing space: not a split
+    for m in _BREAK_RE.finditer(source, pos, end):
+        stop, j = m.start() + 1, m.end()
         if not (source[j].isupper() or source[j].isdigit()):
             continue
-        if m.group() == "." and _ends_with_abbreviation(source, m.end(), abbreviations):
+        # The run of terminators is one "." (a run is cut at start).
+        if (source[stop - 1] == "." and (stop - 1 == start or source[stop - 2] not in ".!?")
+                and _ends_with_abbreviation(source, stop, abbreviations)):
             continue
-        bounds.append((pos, m.end()))
+        bounds.append((pos, stop))
         pos = j
     tail = end
     while tail > pos and source[tail - 1].isspace():
@@ -390,8 +439,10 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
-    kind, word_lower, stems = store.kind, store.word_lower, store.stems
-    fold = WordFold(lexicon.stopwords)
+    starts, kind, word_lower, word_token, stems = (
+        store.start, store.kind, store.word_lower, store.word_token, store.stems)
+    stopwords = lexicon.stopwords
+    fold = WordFold(stopwords)
     abbreviations: dict[int, set[str]] = {}  # by length
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
@@ -408,14 +459,25 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         nonlocal block_start
         if block_start < 0:
             return
-        sentences = []
-        for s, e in _sentence_bounds(source, block_start, block_end, abbreviations):
-            first_token, first_word, first_stem = len(kind), len(word_lower), len(stems)
-            word_count = store.scan(s, e, fold)
-            sentences.append(Sentence(word_count, store, first_token, len(kind),
-                                      first_word, len(word_lower), first_stem, len(stems)))
+        bounds = _sentence_bounds(source, block_start, block_end, abbreviations)
         block_start = -1
         # Block lines are never blank, so there is at least one sentence.
+        first_token, first_word, first_stem = len(kind), len(word_lower), len(stems)
+        store.scan(bounds[0][0], bounds[-1][1], fold)
+        last_token, last_word = len(kind), len(word_lower)
+        # Sentence bounds fall on token boundaries: a sentence's tokens are
+        # those that start before its end, and its words those whose tokens
+        # do. Each word that is not a stopword has one stem.
+        sentences = []
+        for _, e in bounds:
+            end_token = bisect_left(starts, e, first_token, last_token)
+            end_word = bisect_left(word_token, end_token, first_word, last_word)
+            end_stem = first_stem + end_word - first_word - sum(
+                map(stopwords.__contains__, word_lower[first_word:end_word]))
+            word_count = end_word - first_word + kind.count(NUMBER_CODE, first_token, end_token)
+            sentences.append(Sentence(word_count, store, first_token, end_token,
+                                      first_word, end_word, first_stem, end_stem))
+            first_token, first_word, first_stem = end_token, end_word, end_stem
         sections[-1][2].append(Paragraph(tuple(sentences)))
 
     offset = 0

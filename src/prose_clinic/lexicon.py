@@ -7,8 +7,11 @@ hold lowercase entries, and lookups are case-insensitive: the parse folds
 each distinct word form to lowercase once (TokenStore.word_lower), and the
 detectors test those forms against the sets directly. The Lexicon
 predicates (is_stopword, connector_class, ...) lowercase their argument and
-stay the public way to classify one word. The tables can be extended from
-a plain-text file, see load_lexicon_extensions.
+stay the public way to classify one word. The two tests that are more than a
+set lookup each live in one helper that takes a lowercase form
+(is_folded_nominalization, folded_intensity_family): the predicates
+lowercase and call it, and the detectors call it on the folded forms. The
+tables can be extended from a plain-text file, see load_lexicon_extensions.
 """
 
 from __future__ import annotations
@@ -131,11 +134,14 @@ class Lexicon:
         return word.lower() in self.stopwords
 
     def is_nominalization(self, word: str) -> bool:
-        """A word reads as a nominalization when it is long enough (>= 7
-        characters) and carries one of the noun-making suffixes; short nouns
-        like "nation" do not qualify."""
-        w = word.lower()
-        return len(w) >= 7 and w.endswith(self.nominalization_suffixes)
+        return self.is_folded_nominalization(word.lower())
+
+    def is_folded_nominalization(self, form: str) -> bool:
+        """is_nominalization of a lowercase form. A word reads as a
+        nominalization when it is long enough (>= 7 characters) and carries
+        one of the noun-making suffixes; short nouns like "nation" do not
+        qualify."""
+        return len(form) >= 7 and form.endswith(self.nominalization_suffixes)
 
     def is_intensity_word(self, word: str) -> bool:
         return word.lower() in self.intensity_words
@@ -144,12 +150,14 @@ class Lexicon:
         return word.lower() in self.superlatives
 
     def intensity_family(self, word: str) -> str:
-        """Pool adverb and adjective forms: "importantly" and "important"
-        report under one family key."""
-        w = word.lower()
-        if w.endswith("ly") and len(w) > 4:
-            return w[:-2]
-        return w
+        return self.folded_intensity_family(word.lower())
+
+    def folded_intensity_family(self, form: str) -> str:
+        """intensity_family of a lowercase form. Adverb and adjective forms
+        pool: "importantly" and "important" report under one family key."""
+        if form.endswith("ly") and len(form) > 4:
+            return form[:-2]
+        return form
 
 
 _DEFAULT = Lexicon(

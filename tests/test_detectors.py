@@ -123,6 +123,14 @@ def test_s103_lorimeter_interruption_counts_numbers_as_words():
     assert diag.measured == 25
 
 
+def test_s103_both_findings_on_one_sentence_share_its_span():
+    cfg = AnalysisConfig(min_insertion_words=2, max_delay_words=3)
+    interrupted, delayed = detect(
+        "S103", "Reading the report, studying the long table, we saw it.", cfg=cfg)
+    assert (interrupted.measured, delayed.measured) == (4, 7)
+    assert delayed.span is interrupted.span
+
+
 def test_s103_connector_prefix_is_not_an_interruption():
     # A leading connector plus comma is a transition, not a split core.
     text = ("However, while sitting by the fire even though it was a warm "
@@ -162,6 +170,12 @@ def test_s201_bare_pronoun_is_not_a_link():
 def test_s201_does_not_cross_paragraphs():
     text = "The probe failed.\n\nIt sank quietly."
     assert detect("S201", text) == []
+
+
+def test_s201_findings_that_share_a_sentence_share_its_span():
+    first, second = detect("S201", "The probe failed. It sank quietly. Water rose fast.")
+    assert first.span == second.evidence[0]
+    assert second.evidence[0] is first.evidence[1]
 
 
 # --- S301 / S302: paragraph shape ------------------------------------------
@@ -209,6 +223,12 @@ def test_s401_broken_openers():
     assert len(diags) == 2
     for diag in diags:
         assert len(diag.evidence) == 2
+
+
+def test_s401_findings_that_share_an_opener_share_its_span():
+    first, second = detect("S401", "The probe failed.\n\nWater rose fast.\n\nA gull cried.")
+    assert first.span == second.evidence[0]
+    assert second.evidence[0] is first.evidence[1]
 
 
 def test_s401_carried_openers():

@@ -4,11 +4,13 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prose_clinic import document
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.detectors import RULE_IDS, run_all
 from prose_clinic.document import (
@@ -19,6 +21,7 @@ from prose_clinic.document import (
     WORD,
     DocumentStructureError,
     parse_document,
+    scan_text,
     tokenize,
 )
 from prose_clinic.lexicon import default_lexicon, load_lexicon_extensions, stem
@@ -102,12 +105,17 @@ def test_footnote_id_cannot_hold_a_bracket():
 def test_backtracking_inputs_parse_quickly():
     # At this size each took over 10 s when a regex backtracked: a heading
     # with one long whitespace run, and a run of "[^" that never closes.
+    # Likewise for a regex that starts with \s* or "[.!?]+" and can fail
+    # after it: runs of whitespace and of terminators.
     n = 50_000
     bracket_run = "Text " + "[^" * n + " here.\n"
     for text, fmt in (("# a" + " " * n + "b\n\nBody text here.\n", "markdown"),
-                      (bracket_run, "plain"), (bracket_run, "markdown")):
+                      (bracket_run, "plain"), (bracket_run, "markdown"),
+                      ("Text" + " " * n + "\n", "plain"), ("Text " + "." * n + "\n", "plain"),
+                      ("Text " + ".!" * n + " Next.\n", "plain")):
         start = time.perf_counter()
         parse_document(text, fmt)
+        scan_text(text, default_lexicon())
         assert time.perf_counter() - start < 1, (text[:8], fmt)
 
 
@@ -440,6 +448,177 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
         assert text[marker.start_byte:marker.end_byte] == f"[^{note.id}]"
 
 
+# The scan as a loop over a token regex's matches, one token at a time,
+# with a fold table of its own: the reference that the batched scan is
+# compared with.
+_UNIT = r"(?:\d+(?:[.,]\d+)+|[^\W_]+)"
+_TOKEN_RE = re.compile(
+    r"(?P<marker>\[\^[^\[\]\s]+\])"
+    rf"|(?P<wordish>{_UNIT}(?:[-‐‑'’]{_UNIT})*)"
+    r"|(?P<punct>\S)"
+)
+
+
+class _ReferenceFold(dict):
+    def __init__(self, stopwords):
+        self.stopwords = stopwords
+
+    def __missing__(self, text):
+        if not re.search(r"[^\W\d_]", text):
+            entry = ()
+        else:
+            lower = text.lower()
+            entry = self.get(lower)
+            if entry is None:
+                entry = self[lower] = (lower, None if lower in self.stopwords else stem(lower))
+        self[text] = entry
+        return entry
+
+
+class _ReferenceStore:
+    def __init__(self, source):
+        self.source = source
+        self.start, self.end, self.kind = [], [], []
+        self.word_lower, self.word_token, self.stems = [], [], []
+
+    def scan(self, start, end, fold):
+        """Append the tokens of source[start:end]; returns the number of
+        words (WORD plus NUMBER tokens)."""
+        words = 0
+        for m in _TOKEN_RE.finditer(self.source, start, end):
+            pos, stop = m.span()
+            self.start.append(pos)
+            self.end.append(stop)
+            if m.lastgroup == "wordish":
+                words += 1
+                entry = fold[m.group()]
+                if entry:
+                    lower, word_stem = entry
+                    self.word_token.append(len(self.kind))
+                    self.word_lower.append(lower)
+                    if word_stem is not None:
+                        self.stems.append(word_stem)
+                    self.kind.append(document.WORD_CODE)
+                else:
+                    self.kind.append(document.NUMBER_CODE)
+            elif m.lastgroup == "marker":
+                self.kind.append(document.MARKER_CODE)
+            elif self.source[pos] == ",":
+                self.kind.append(document.COMMA_CODE)
+            else:
+                self.kind.append(document.PUNCTUATION_CODE)
+        return words
+
+
+def _reference_sentence_bounds(source, start, end, abbreviations):
+    """Sentence bounds by a walk over every terminator run."""
+    bounds = []
+    pos = start
+    while pos < end and source[pos].isspace():
+        pos += 1
+    for m in re.compile(r"[.!?]+").finditer(source, start, end):
+        if m.start() < pos:
+            continue
+        j = m.end()
+        while j < end and source[j].isspace():
+            j += 1
+        if j == m.end() or j >= end:
+            continue  # no whitespace gap, or only trailing space: not a split
+        if not (source[j].isupper() or source[j].isdigit()):
+            continue
+        if m.group() == "." and document._ends_with_abbreviation(source, m.end(), abbreviations):
+            continue
+        bounds.append((pos, m.end()))
+        pos = j
+    tail = end
+    while tail > pos and source[tail - 1].isspace():
+        tail -= 1
+    if tail > pos:
+        bounds.append((pos, tail))
+    return bounds
+
+
+def _store_arrays(store):
+    return {name: list(getattr(store, name))
+            for name in ("start", "end", "kind", "word_lower", "word_token", "stems")}
+
+
+# Text that stresses the scan: whitespace that is not ASCII (vertical tab,
+# information separators, no-break and ideographic spaces, line and
+# paragraph separators), "İ", combining marks, commas, terminator runs and
+# footnote markers, whole and broken.
+_SCAN_PIECES = st.sampled_from([
+    " ", "\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2009", "\u2028",
+    "\u2029", "\u3000", "İ", "İs", "\u0301", "e\u0301", "[^1]", "[^a b]", "[^", "]",
+    ",", ".", "...", "!?", "!. Alpha", ".. 42", "0.35", "200,000", "x'y", "Dr.", "e.g.",
+    "Alpha", "THE",
+])
+_SCAN_TEXT = st.one_of(
+    _TEXT,
+    st.lists(st.one_of(_SCAN_PIECES, _SCAN_PIECES, st.text(max_size=4)), max_size=60)
+    .map("".join))
+
+
+@settings(deadline=None)
+@given(_SCAN_TEXT, st.sampled_from(FORMATS), st.sampled_from([1, 2, 5, 64, None]))
+def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece):
+    # piece patches the scan's piece size, so that pieces are cut at every
+    # whitespace run; None keeps the module's size.
+    lexicon = default_lexicon()
+    with mock.patch.object(document, "_PIECE", piece or document._PIECE):
+        store = scan_text(text, lexicon)
+        doc = _parse_or_none(text, fmt)
+    reference = _ReferenceStore(text)
+    reference.scan(0, len(text), _ReferenceFold(lexicon.stopwords))
+    assert _store_arrays(store) == _store_arrays(reference)
+    if doc is None:
+        return
+    # The parse scans each paragraph, and each sentence is its share of the
+    # paragraph's tokens, words and stems.
+    reference = _ReferenceStore(text)
+    fold = _ReferenceFold(lexicon.stopwords)
+    abbreviations = {}
+    for abbr in lexicon.abbreviations:
+        abbreviations.setdefault(len(abbr), set()).add(abbr)
+    expected, total = [], 0
+    for paragraph in doc.iter_paragraphs():
+        span = paragraph.span
+        for s, e in _reference_sentence_bounds(text, span.start_byte, span.end_byte,
+                                               abbreviations):
+            first = len(reference.kind), len(reference.word_lower), len(reference.stems)
+            words = reference.scan(s, e, fold)
+            total += words
+            expected.append((words, first[0], len(reference.kind), first[1],
+                             len(reference.word_lower), first[2], len(reference.stems)))
+    assert [(s.word_count, s.first_token, s.end_token, s.first_word, s.end_word,
+             s.first_stem, s.end_stem) for s in doc.iter_sentences()] == expected
+    assert _store_arrays(doc.store) == _store_arrays(reference)
+    assert doc.total_words == total
+
+
+@settings(deadline=None)
+@given(_SCAN_TEXT, st.data())
+def test_sentence_bounds_match_a_walk_over_every_terminator(text, data):
+    # A range may start inside a run of terminators, which then counts from
+    # the start of the range.
+    inside_runs = [i for i in range(1, len(text)) if text[i - 1] in ".!?"]
+    start = data.draw(st.one_of(st.integers(0, len(text)), st.sampled_from(inside_runs or [0])))
+    end = data.draw(st.integers(start, len(text)))
+    abbreviations = {}
+    for abbr in data.draw(st.sets(st.sampled_from([".", "e.g.", "dr.", "x.", "i\u0307."]))):
+        abbreviations.setdefault(len(abbr), set()).add(abbr)
+    assert (document._sentence_bounds(text, start, end, abbreviations)
+            == _reference_sentence_bounds(text, start, end, abbreviations))
+
+
+def test_a_terminator_run_counts_from_the_start_of_the_range():
+    # From offset 1 the run is one ".", which the abbreviation "." ends.
+    text = "!. Alpha"
+    for bounds in (document._sentence_bounds, _reference_sentence_bounds):
+        assert bounds(text, 1, len(text), {1: {"."}}) == [(1, 8)]
+        assert bounds(text, 0, len(text), {1: {"."}}) == [(0, 2), (3, 8)]
+
+
 # Passages that trip the rules, so that the detectors and maladies report
 # spans; mixed with _TEXT, whose pieces bring CRLF, "İ" and combining marks.
 _RULE_PASSAGES = [
@@ -730,3 +909,21 @@ def test_parse_retains_few_bytes_per_source_character():
         tracemalloc.stop()
     assert doc.total_words > 40_000
     assert retained / len(text) < 13.5
+
+
+def test_one_long_paragraph_parses_in_bounded_memory():
+    # The scan matches a long paragraph in pieces, so that the chunk strings
+    # of the whole paragraph are never held at once: with them, the peak is
+    # over three times what the parse retains.
+    one = " ".join(" ".join(p.split()) for p in _RULE_PASSAGES)
+    text = " ".join([one] * (300_000 // len(one) + 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = parse_document(text, "plain")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s.paragraphs) for s in doc.sections] == [1]
+    assert peak - before <= 1.5 * (retained - before)

@@ -73,6 +73,15 @@ def test_is_nominalization(lex, word, expected):
     assert lex.is_nominalization(word) is expected
 
 
+@pytest.mark.parametrize("word", ["Consolidation", "NATION", "Density", "Importantly",
+                                  "SIGNIFICANTLY", "Only", "fly"])
+def test_predicates_lowercase_then_test_the_form(lex, word):
+    # The detectors call the form helpers on folded forms directly.
+    form = word.lower()
+    assert lex.is_nominalization(word) is lex.is_folded_nominalization(form)
+    assert lex.intensity_family(word) == lex.folded_intensity_family(form)
+
+
 def test_demonstratives(lex):
     for word in ["this", "these", "such", "that", "those", "Such"]:
         assert lex.is_demonstrative(word)

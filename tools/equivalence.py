@@ -14,6 +14,12 @@ under --src on each of them with its workload's format, config and lexicon
 Two trees whose lines agree give byte-identical output on these inputs. The
 inputs are written to a temporary directory and named by relative paths from
 there, so the output does not depend on where the directory lies.
+
+The seed-1 lines are recorded in tests/golden/equivalence-seed1.txt, and CI
+diffs the tree's lines against that file. Record it again only for an
+intended output change:
+
+    python3 tools/equivalence.py --seed 1 > tests/golden/equivalence-seed1.txt
 """
 
 from __future__ import annotations
