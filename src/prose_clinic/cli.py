@@ -12,7 +12,7 @@ import functools
 import os
 import sys
 
-from .config import AnalysisConfig, ConfigError, load_config
+from .config import INT_FIELDS, AnalysisConfig, ConfigError, load_config
 from .detectors import run_all, select_rules
 from .document import FORMATS, MARKDOWN, DocumentStructureError, parse_document
 from .lexicon import LexiconError, default_lexicon, load_lexicon_extensions
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "thresholds", "override any analysis threshold (highest precedence)",
     )
     for field in dataclasses.fields(AnalysisConfig):
-        is_int = field.type == "int"
+        is_int = field.name in INT_FIELDS
         thresholds.add_argument(
             "--" + field.name.replace("_", "-"),
             type=int if is_int else float,

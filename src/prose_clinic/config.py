@@ -37,16 +37,16 @@ class AnalysisConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(AnalysisConfig)}
-_INT_FIELDS = {name for name, tp in _FIELD_TYPES.items() if tp == "int"}
+INT_FIELDS = frozenset(name for name, tp in _FIELD_TYPES.items() if tp == "int")
 
 
 def _parse_value(key: str, raw: str):
     try:
-        if key in _INT_FIELDS:
+        if key in INT_FIELDS:
             return int(raw)
         return float(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_FIELDS else "a number"
+        kind = "an integer" if key in INT_FIELDS else "a number"
         raise ConfigError(f"config key {key!r} needs {kind}, got {raw!r}") from None
 
 

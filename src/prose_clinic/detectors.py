@@ -5,8 +5,9 @@ diagnostics; word classes come from the lexicon the document was parsed with.
 The rules read the document's flat token arrays (doc.store) by index, not
 the Token views, and build a Span only for what they report. Words are
 tested in the lowercase forms the scan folded them to (store.word_lower),
-against the lexicon's sets, and sentences are compared on slices of
-store.stems; no rule reads or lowercases a word's raw text.
+against the lexicon's sets, and sentences are compared on the content stems
+of their word ranges (store.word_stem, None for a stopword); no rule reads
+or lowercases a word's raw text.
 REGISTRY at the end of the module holds one Rule record per rule; the rule
 table, the severities and the treatment pointers are all read from it.
 """
@@ -64,9 +65,9 @@ def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> 
 
 
 def _share_no_stem(prev: Sentence, cur: Sentence) -> bool:
-    stems = prev.store.stems
-    return set(stems[prev.first_stem:prev.end_stem]).isdisjoint(
-        stems[cur.first_stem:cur.end_stem])
+    stems = prev.store.word_stem  # None for a stopword, which is no shared term
+    return set(filter(None, stems[prev.first_word:prev.end_word])).isdisjoint(
+        stems[cur.first_word:cur.end_word])
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:

@@ -19,14 +19,15 @@ Conventions the rest of the package relies on:
 
 A token is an offset range into the source, not an object: one parse fills
 a single TokenStore of flat arrays, with each body token's start and end
-offsets and kind code, each WORD token's lowercase form and token index, and
-the content stems. The scan is batched: no Python code runs per token. One
-findall cuts the text into chunks (a token with the whitespace before it),
-one table per parse (WordFold) maps each distinct chunk to its kind, length,
-lowercase form and stem, and C-level iterators turn those entries into the
-arrays. So each distinct word form is lowercased and stemmed once. A long
-paragraph is matched in pieces of bounded size, cut where a token ends, so
-its chunk strings are never all held at once.
+offsets and kind code, and three arrays aligned by word: each WORD token's
+token index, lowercase form and content stem (None for a stopword). The scan
+is batched: no Python code runs per token. One findall cuts the text into
+chunks (a token with the whitespace before it), one table per parse
+(WordFold) maps each distinct chunk to its kind, length, lowercase form and
+stem, and C-level iterators turn those entries into the arrays. So each
+distinct word form is lowercased and stemmed once. A long paragraph is
+matched in pieces of bounded size, cut where a token ends, so its chunk
+strings are never all held at once.
 
 The parse scans each paragraph once. Sentence bounds come from a pass over
 the break candidates (a terminator, whitespace and a non-space character),
@@ -186,16 +187,16 @@ class TokenStore:
     Token i is ``source[start[i]:end[i]]`` of kind ``KINDS[kind[i]]``; no
     token's text is kept as a string of its own. Word i (the i-th WORD
     token) is token ``word_token[i]``, and ``word_lower[i]`` is its lowercase
-    form, one string shared by every occurrence of the form. ``stems`` holds
-    the stems of the words that are not stopwords, in order. The arrays are
+    form, one string shared by every occurrence of the form. ``word_stem[i]``
+    is its content stem, or None for a stopword. The arrays are
     per document, not per sentence: thousands of small per-sentence tuples,
     once freed, stay on CPython's tuple free lists until a generation-2
     collection, which the parse does not trigger. scan appends a whole
     range at a time, and a sentence is an index range into each array.
     """
 
-    __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_token",
-                 "stems")
+    __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_stem",
+                 "word_token")
 
     def __init__(self, source: str):
         self.source = source
@@ -206,8 +207,8 @@ class TokenStore:
         self.end = array("l")
         self.kind = bytearray()
         self.word_lower: list[str] = []
+        self.word_stem: list[str | None] = []
         self.word_token = array("l")
-        self.stems: list[str] = []
 
     def scan(self, start: int, end: int, fold: WordFold) -> None:
         """Append the tokens of source[start:end], and for each WORD token
@@ -243,9 +244,11 @@ class TokenStore:
             starts.fromlist(list(map(sub, piece_ends, map(_LENGTH, entries))))
             codes = bytes(map(_CODE, entries))
             kinds += codes
-            self.word_token.fromlist(list(compress(count(first), codes.translate(_IS_WORD))))
-            self.word_lower += filter(None, map(_FORM, entries))
-            self.stems += filter(None, map(_STEM, entries))
+            is_word = codes.translate(_IS_WORD)
+            self.word_token.fromlist(list(compress(count(first), is_word)))
+            words = list(compress(entries, is_word))
+            self.word_lower += map(_FORM, words)
+            self.word_stem += map(_STEM, words)
             start = cut
 
     def span(self, start: int, end: int) -> Span:
@@ -273,8 +276,8 @@ class TokenStore:
 @dataclass(frozen=True, slots=True)
 class Sentence:
     """A sentence: its word count (WORD plus NUMBER tokens) and the index
-    ranges [first, end) of its tokens, words and content stems in the
-    parse's TokenStore. Two sentences are equal when these are.
+    ranges [first, end) of its tokens and words, and so of its stem slots,
+    in the parse's TokenStore. Two sentences are equal when these are.
 
     span, tokens, words and stems are views built on each access; code that
     walks many sentences reads the store's arrays instead.
@@ -286,8 +289,6 @@ class Sentence:
     end_token: int
     first_word: int
     end_word: int
-    first_stem: int
-    end_stem: int
 
     @property
     def span(self) -> Span:
@@ -307,7 +308,7 @@ class Sentence:
     @property
     def stems(self) -> tuple[str, ...]:
         """The content stems, in order and with repeats (see TokenStore)."""
-        return tuple(self.store.stems[self.first_stem:self.end_stem])
+        return tuple([s for s in self.store.word_stem[self.first_word:self.end_word] if s])
 
 
 @dataclass(frozen=True, slots=True)
@@ -439,10 +440,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
-    starts, kind, word_lower, word_token, stems = (
-        store.start, store.kind, store.word_lower, store.word_token, store.stems)
-    stopwords = lexicon.stopwords
-    fold = WordFold(stopwords)
+    starts, kind, word_token = store.start, store.kind, store.word_token
+    fold = WordFold(lexicon.stopwords)
     abbreviations: dict[int, set[str]] = {}  # by length
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
@@ -462,22 +461,19 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         bounds = _sentence_bounds(source, block_start, block_end, abbreviations)
         block_start = -1
         # Block lines are never blank, so there is at least one sentence.
-        first_token, first_word, first_stem = len(kind), len(word_lower), len(stems)
+        first_token, first_word = len(kind), len(word_token)
         store.scan(bounds[0][0], bounds[-1][1], fold)
-        last_token, last_word = len(kind), len(word_lower)
-        # Sentence bounds fall on token boundaries: a sentence's tokens are
-        # those that start before its end, and its words those whose tokens
-        # do. Each word that is not a stopword has one stem.
+        last_token, last_word = len(kind), len(word_token)
+        # Sentence bounds fall on token boundaries: a sentence's tokens are those
+        # that start before its end, and its words those whose tokens do.
         sentences = []
         for _, e in bounds:
             end_token = bisect_left(starts, e, first_token, last_token)
             end_word = bisect_left(word_token, end_token, first_word, last_word)
-            end_stem = first_stem + end_word - first_word - sum(
-                map(stopwords.__contains__, word_lower[first_word:end_word]))
             word_count = end_word - first_word + kind.count(NUMBER_CODE, first_token, end_token)
             sentences.append(Sentence(word_count, store, first_token, end_token,
-                                      first_word, end_word, first_stem, end_stem))
-            first_token, first_word, first_stem = end_token, end_word, end_stem
+                                      first_word, end_word))
+            first_token, first_word = end_token, end_word
         sections[-1][2].append(Paragraph(tuple(sentences)))
 
     offset = 0
@@ -487,7 +483,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         if not raw_line.strip():
             flush_block()
             continue
-        if format == MARKDOWN:
+        # Only a line that holds "[^" or starts with "#" can be a footnote or heading.
+        if format == MARKDOWN and (raw_line[0] == "#" or "[^" in raw_line):
             fm = _FOOTNOTE_DEF_RE.match(raw_line)
             if fm:
                 flush_block()

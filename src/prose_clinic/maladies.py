@@ -94,7 +94,7 @@ def extract_keywords(doc: Document, cfg: AnalysisConfig) -> tuple[str, ...]:
     counts: Counter[str] = Counter()
     if doc.sections:
         opening = doc.sections[0]
-        counts.update(scan_text(opening.heading_text, doc.lexicon).stems)
+        counts.update(filter(None, scan_text(opening.heading_text, doc.lexicon).word_stem))
         for paragraph in opening.paragraphs[:2]:
             for sentence in paragraph.sentences:
                 counts.update(sentence.stems)

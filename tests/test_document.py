@@ -440,6 +440,10 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
         total += paragraph.word_count
         last_end = p.end_byte
     assert doc.total_words == total
+    # One stem slot per word: None for a stopword, the form's stem otherwise.
+    assert len(store.word_stem) == len(store.word_lower)
+    assert store.word_stem == [None if form in lexicon.stopwords else stem(form)
+                               for form in store.word_lower]
     for note in doc.footnotes:
         for span in (note.marker_span, note.body_span):
             assert 0 <= span.start_byte < span.end_byte <= len(text)
@@ -479,7 +483,7 @@ class _ReferenceStore:
     def __init__(self, source):
         self.source = source
         self.start, self.end, self.kind = [], [], []
-        self.word_lower, self.word_token, self.stems = [], [], []
+        self.word_lower, self.word_stem, self.word_token = [], [], []
 
     def scan(self, start, end, fold):
         """Append the tokens of source[start:end]; returns the number of
@@ -496,8 +500,7 @@ class _ReferenceStore:
                     lower, word_stem = entry
                     self.word_token.append(len(self.kind))
                     self.word_lower.append(lower)
-                    if word_stem is not None:
-                        self.stems.append(word_stem)
+                    self.word_stem.append(word_stem)
                     self.kind.append(document.WORD_CODE)
                 else:
                     self.kind.append(document.NUMBER_CODE)
@@ -540,7 +543,7 @@ def _reference_sentence_bounds(source, start, end, abbreviations):
 
 def _store_arrays(store):
     return {name: list(getattr(store, name))
-            for name in ("start", "end", "kind", "word_lower", "word_token", "stems")}
+            for name in ("start", "end", "kind", "word_lower", "word_stem", "word_token")}
 
 
 # Text that stresses the scan: whitespace that is not ASCII (vertical tab,
@@ -574,7 +577,7 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece):
     if doc is None:
         return
     # The parse scans each paragraph, and each sentence is its share of the
-    # paragraph's tokens, words and stems.
+    # paragraph's tokens and words.
     reference = _ReferenceStore(text)
     fold = _ReferenceFold(lexicon.stopwords)
     abbreviations = {}
@@ -585,13 +588,13 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece):
         span = paragraph.span
         for s, e in _reference_sentence_bounds(text, span.start_byte, span.end_byte,
                                                abbreviations):
-            first = len(reference.kind), len(reference.word_lower), len(reference.stems)
+            first = len(reference.kind), len(reference.word_lower)
             words = reference.scan(s, e, fold)
             total += words
             expected.append((words, first[0], len(reference.kind), first[1],
-                             len(reference.word_lower), first[2], len(reference.stems)))
-    assert [(s.word_count, s.first_token, s.end_token, s.first_word, s.end_word,
-             s.first_stem, s.end_stem) for s in doc.iter_sentences()] == expected
+                             len(reference.word_lower)))
+    assert [(s.word_count, s.first_token, s.end_token, s.first_word, s.end_word)
+            for s in doc.iter_sentences()] == expected
     assert _store_arrays(doc.store) == _store_arrays(reference)
     assert doc.total_words == total
 
