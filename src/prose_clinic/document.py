@@ -29,12 +29,12 @@ distinct word form is lowercased and stemmed once. A long paragraph is
 matched in pieces of bounded size, cut where a token ends, so its chunk
 strings are never all held at once.
 
-The parse scans each paragraph once. Sentence bounds come from a pass over
-the break candidates (a terminator, whitespace and a non-space character),
-and they fall on token boundaries: each sentence's token and word ranges are
-found by bisecting the store's start offsets and word token indices at its
-end. A Sentence holds its word count and index ranges into that store, and a
-Paragraph its sentences, so the store is the one record of where text lies.
+The parse scans each paragraph once and cuts its sentences on the kind codes
+the scan wrote: ". ! ?" have a code of their own (STOP_CODE), so the breaks
+are found with bytearray.find, and each sentence's word range by bisecting
+the store's word token indices at its end token. A Sentence holds its word
+count and index ranges into that store, and a Paragraph its sentences, so
+the store is the one record of where text lies.
 ``.span``, ``Sentence.tokens``, ``.words`` and ``.stems`` are views built on
 each access, and only the Token views slice text out of the source; the
 parse builds a Span (with its line and column) only for footnotes, and the
@@ -60,10 +60,11 @@ FOOTNOTE_MARKER = "footnote_marker"
 
 # Kind codes of the token store: KINDS[code] is the kind's name. WORD and
 # NUMBER come first, so a code below PUNCTUATION_CODE marks a counted word.
-# A comma has a code of its own, so that comma splits are found with
-# bytearray.find, but its kind is PUNCTUATION like any other mark.
-KINDS = (WORD, NUMBER, PUNCTUATION, FOOTNOTE_MARKER, PUNCTUATION)
-WORD_CODE, NUMBER_CODE, PUNCTUATION_CODE, MARKER_CODE, COMMA_CODE = range(len(KINDS))
+# A comma and a terminator (". ! ?") have codes of their own, so that comma
+# splits and sentence breaks are found with bytearray.find, but their kind is
+# PUNCTUATION like any other mark.
+KINDS = (WORD, NUMBER, PUNCTUATION, FOOTNOTE_MARKER, PUNCTUATION, PUNCTUATION)
+WORD_CODE, NUMBER_CODE, PUNCTUATION_CODE, MARKER_CODE, COMMA_CODE, STOP_CODE = range(len(KINDS))
 
 PLAIN = "plain"
 MARKDOWN = "markdown"
@@ -122,10 +123,6 @@ _CHUNK_RE = re.compile(rf"\s*(?:{_MARKER}|{_UNIT}(?:[-‐‑'’]{_UNIT})*|\S)")
 _TOKEN_END_RE = re.compile(r"\S\s")
 _MARKER_RE = re.compile(_MARKER)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]")
-# A sentence break candidate: the last mark of a terminator run, whitespace,
-# and a non-space character. One mark, not "[.!?]+", so that a long run of
-# marks with no whitespace after it is not matched again from each mark.
-_BREAK_RE = re.compile(r"[.!?]\s+(?=\S)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
 _FOOTNOTE_DEF_RE = re.compile(rf"^\[\^({_ID})\]:\s?(.*)$")
 # "\s#+", not "\s+#+", which backtracks over every whitespace run in a heading.
@@ -138,6 +135,8 @@ _PIECE = 32_768
 _CODE, _LENGTH, _FORM, _STEM = map(itemgetter, range(4))
 # bytes.translate table: 1 for the WORD kind code, 0 for every other code.
 _IS_WORD = bytes(code == WORD_CODE for code in range(256))
+# The kind codes of the single-character marks that have codes of their own.
+_MARK_CODES = {",": COMMA_CODE, ".": STOP_CODE, "!": STOP_CODE, "?": STOP_CODE}
 
 
 class WordFold(dict):
@@ -163,7 +162,7 @@ class WordFold(dict):
         elif len(chunk) == 1 and not chunk.isalnum():
             # A word-like token starts with a letter or digit ([^\W_] is
             # isalnum), so a single other character is a mark.
-            entry = (COMMA_CODE if chunk == "," else PUNCTUATION_CODE, 1, None, None)
+            entry = (_MARK_CODES.get(chunk, PUNCTUATION_CODE), 1, None, None)
         elif not _HAS_LETTER_RE.search(chunk):
             entry = (NUMBER_CODE, len(chunk), None, None)
         else:
@@ -399,33 +398,6 @@ def _ends_with_abbreviation(source: str, end: int, abbreviations: dict[int, set[
     return False
 
 
-def _sentence_bounds(source: str, start: int, end: int,
-                     abbreviations: dict[int, set[str]]) -> list[tuple[int, int]]:
-    """The sentences of source[start:end], trimmed of whitespace. A sentence
-    ends on a run of terminators followed by whitespace and a capital or a
-    digit, unless the run is one "." that ends an abbreviation."""
-    bounds = []
-    pos = start
-    while pos < end and source[pos].isspace():
-        pos += 1
-    for m in _BREAK_RE.finditer(source, pos, end):
-        stop, j = m.start() + 1, m.end()
-        if not (source[j].isupper() or source[j].isdigit()):
-            continue
-        # The run of terminators is one "." (a run is cut at start).
-        if (source[stop - 1] == "." and (stop - 1 == start or source[stop - 2] not in ".!?")
-                and _ends_with_abbreviation(source, stop, abbreviations)):
-            continue
-        bounds.append((pos, stop))
-        pos = j
-    tail = end
-    while tail > pos and source[tail - 1].isspace():
-        tail -= 1
-    if tail > pos:
-        bounds.append((pos, tail))
-    return bounds
-
-
 def parse_document(source: str, format: str = MARKDOWN, *,
                    lexicon: Lexicon | None = None,
                    words_per_page: int = DEFAULT_WORDS_PER_PAGE) -> Document:
@@ -440,7 +412,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
-    starts, kind, word_token = store.start, store.kind, store.word_token
+    starts, ends, kind, word_token = store.start, store.end, store.kind, store.word_token
     fold = WordFold(lexicon.stopwords)
     abbreviations: dict[int, set[str]] = {}  # by length
     for abbr in lexicon.abbreviations:
@@ -458,17 +430,27 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         nonlocal block_start
         if block_start < 0:
             return
-        bounds = _sentence_bounds(source, block_start, block_end, abbreviations)
-        block_start = -1
-        # Block lines are never blank, so there is at least one sentence.
+        # Block lines are never blank, so there is at least one token.
         first_token, first_word = len(kind), len(word_token)
-        store.scan(bounds[0][0], bounds[-1][1], fold)
+        store.scan(block_start, block_end, fold)
+        block_start = -1
         last_token, last_word = len(kind), len(word_token)
-        # Sentence bounds fall on token boundaries: a sentence's tokens are those
-        # that start before its end, and its words those whose tokens do.
+        # A sentence ends after a terminator token k followed by whitespace
+        # and a capital or a digit, unless k is a lone "." (no terminator right
+        # before it in the block) that ends an abbreviation. k == first_token
+        # is tested first: at k == 0, kind[k - 1] wraps to the last token.
+        cuts = []
+        k = first_token - 1
+        while (k := kind.find(STOP_CODE, k + 1, last_token - 1)) >= 0:
+            after = starts[k + 1]
+            if ends[k] < after and (source[after].isupper() or source[after].isdigit()):
+                lone = k == first_token or kind[k - 1] != STOP_CODE or ends[k - 1] < starts[k]
+                if not (lone and source[starts[k]] == "."
+                        and _ends_with_abbreviation(source, ends[k], abbreviations)):
+                    cuts.append(k + 1)
+        cuts.append(last_token)
         sentences = []
-        for _, e in bounds:
-            end_token = bisect_left(starts, e, first_token, last_token)
+        for end_token in cuts:
             end_word = bisect_left(word_token, end_token, first_word, last_word)
             word_count = end_word - first_word + kind.count(NUMBER_CODE, first_token, end_token)
             sentences.append(Sentence(word_count, store, first_token, end_token,
@@ -528,13 +510,13 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             raise DocumentStructureError(
                 f"footnote definition [^{fid}] has no marker in the text", fid, defs[fid])
 
-    total = sum(p.word_count for s in built_sections for p in s.paragraphs)
     return Document(
         source=source,
         format=format,
         sections=built_sections,
         footnotes=tuple(footnotes.values()),
-        total_words=total,
+        # The store holds the tokens of the sentences and of nothing else.
+        total_words=len(word_token) + kind.count(NUMBER_CODE),
         lexicon=lexicon,
         store=store,
         words_per_page=words_per_page,

@@ -107,8 +107,8 @@ def _span_from(payload: dict) -> Span:
 
 def parse_machine(text: str) -> Report:
     """Inverse of render_machine: reads one line of machine output. Raises
-    KeyError for an unknown rule id, and ValueError for an unknown malady kind
-    or for a severity or narrative other than the rule's or kind's own."""
+    KeyError for an unknown rule id, and ValueError for an unknown malady kind,
+    a severity or narrative other than the rule's or kind's own, or a bad config."""
     data = json.loads(text)
     for d in data["diagnostics"]:
         if d["severity"] != REGISTRY[d["rule_id"]].severity.value:
@@ -133,5 +133,8 @@ def parse_machine(text: str) -> Report:
         if m["narrative"] != finding.narrative:
             raise ValueError(f"{m['kind']} has narrative {m['narrative']!r}")
         maladies.append(finding)
-    return Report(data["document"], AnalysisConfig(**data["config"]),
-                  diagnostics, tuple(maladies))
+    try:
+        config = AnalysisConfig(**data["config"])
+    except TypeError as exc:
+        raise ValueError(f"bad config: {exc}") from None
+    return Report(data["document"], config, diagnostics, tuple(maladies))

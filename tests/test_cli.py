@@ -360,3 +360,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 1
     assert " S201 " in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S leaves site-packages off sys.path, so only the package's own
+    # directory is added: any import from outside the standard library fails
+    # or shows up among the loaded modules.
+    src = os.path.dirname(os.path.dirname(sys.modules["prose_clinic.cli"].__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import prose_clinic.cli; "
+            "print(*{name.partition('.')[0] for name in sys.modules})")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "prose_clinic" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"__main__", "prose_clinic"} == set()

@@ -387,9 +387,9 @@ def _recount(source, span):
     assert (span.line, span.column) == (line, column)
 
 
-def _parse_or_none(text, fmt):
+def _parse_or_none(text, fmt, lexicon=None):
     try:
-        return parse_document(text, fmt)
+        return parse_document(text, fmt, lexicon=lexicon)
     except DocumentStructureError:
         return None
 
@@ -508,6 +508,8 @@ class _ReferenceStore:
                 self.kind.append(document.MARKER_CODE)
             elif self.source[pos] == ",":
                 self.kind.append(document.COMMA_CODE)
+            elif self.source[pos] in ".!?":
+                self.kind.append(document.STOP_CODE)
             else:
                 self.kind.append(document.PUNCTUATION_CODE)
         return words
@@ -553,8 +555,8 @@ def _store_arrays(store):
 _SCAN_PIECES = st.sampled_from([
     " ", "\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2009", "\u2028",
     "\u2029", "\u3000", "İ", "İs", "\u0301", "e\u0301", "[^1]", "[^a b]", "[^", "]",
-    ",", ".", "...", "!?", "!. Alpha", ".. 42", "0.35", "200,000", "x'y", "Dr.", "e.g.",
-    "Alpha", "THE",
+    ",", ".", "...", "!?", "!. Alpha", "! . Alpha", ".. 42", "0.35", "200,000", "x'y", "Dr.",
+    "e.g.", "Alpha", "THE",
 ])
 _SCAN_TEXT = st.one_of(
     _TEXT,
@@ -563,14 +565,15 @@ _SCAN_TEXT = st.one_of(
 
 
 @settings(deadline=None)
-@given(_SCAN_TEXT, st.sampled_from(FORMATS), st.sampled_from([1, 2, 5, 64, None]))
-def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece):
+@given(_SCAN_TEXT, st.sampled_from(FORMATS), st.sampled_from([1, 2, 5, 64, None]),
+       st.sets(st.sampled_from([".", "e.g.", "dr.", "x.", "i\u0307."])))
+def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
     # piece patches the scan's piece size, so that pieces are cut at every
     # whitespace run; None keeps the module's size.
-    lexicon = default_lexicon()
+    lexicon = replace(default_lexicon(), abbreviations=frozenset(abbreviations))
     with mock.patch.object(document, "_PIECE", piece or document._PIECE):
         store = scan_text(text, lexicon)
-        doc = _parse_or_none(text, fmt)
+        doc = _parse_or_none(text, fmt, lexicon)
     reference = _ReferenceStore(text)
     reference.scan(0, len(text), _ReferenceFold(lexicon.stopwords))
     assert _store_arrays(store) == _store_arrays(reference)
@@ -580,14 +583,14 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece):
     # paragraph's tokens and words.
     reference = _ReferenceStore(text)
     fold = _ReferenceFold(lexicon.stopwords)
-    abbreviations = {}
-    for abbr in lexicon.abbreviations:
-        abbreviations.setdefault(len(abbr), set()).add(abbr)
+    by_length = {}
+    for abbr in abbreviations:
+        by_length.setdefault(len(abbr), set()).add(abbr)
     expected, total = [], 0
     for paragraph in doc.iter_paragraphs():
         span = paragraph.span
         for s, e in _reference_sentence_bounds(text, span.start_byte, span.end_byte,
-                                               abbreviations):
+                                               by_length):
             first = len(reference.kind), len(reference.word_lower)
             words = reference.scan(s, e, fold)
             total += words
@@ -599,27 +602,19 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece):
     assert doc.total_words == total
 
 
-@settings(deadline=None)
-@given(_SCAN_TEXT, st.data())
-def test_sentence_bounds_match_a_walk_over_every_terminator(text, data):
-    # A range may start inside a run of terminators, which then counts from
-    # the start of the range.
-    inside_runs = [i for i in range(1, len(text)) if text[i - 1] in ".!?"]
-    start = data.draw(st.one_of(st.integers(0, len(text)), st.sampled_from(inside_runs or [0])))
-    end = data.draw(st.integers(start, len(text)))
-    abbreviations = {}
-    for abbr in data.draw(st.sets(st.sampled_from([".", "e.g.", "dr.", "x.", "i\u0307."]))):
-        abbreviations.setdefault(len(abbr), set()).add(abbr)
-    assert (document._sentence_bounds(text, start, end, abbreviations)
-            == _reference_sentence_bounds(text, start, end, abbreviations))
-
-
 def test_a_terminator_run_counts_from_the_start_of_the_range():
-    # From offset 1 the run is one ".", which the abbreviation "." ends.
-    text = "!. Alpha"
-    for bounds in (document._sentence_bounds, _reference_sentence_bounds):
-        assert bounds(text, 1, len(text), {1: {"."}}) == [(1, 8)]
-        assert bounds(text, 0, len(text), {1: {"."}}) == [(0, 2), (3, 8)]
+    # A "." that opens the text is a run of one "." (the text's last token,
+    # also a ".", is not the token before it), so the abbreviation "." ends
+    # it, as it ends a "." with whitespace before it. After "!" the "." is the
+    # end of the run "!.", which ends a sentence.
+    lexicon = replace(default_lexicon(), abbreviations=frozenset({"."}))
+
+    def count(text):
+        return len(list(parse_document(text, "plain", lexicon=lexicon).iter_sentences()))
+
+    assert count(". Alpha.") == 1
+    assert count("Alpha! . Beta") == 1
+    assert count("!. Alpha") == 2
 
 
 # Passages that trip the rules, so that the detectors and maladies report

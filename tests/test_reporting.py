@@ -151,6 +151,14 @@ def test_machine_narrative_must_match_the_kind():
         parse_machine(text.replace("Size, apparatus", "Size and apparatus"))
 
 
+@pytest.mark.parametrize("config", [{"bogus": 1}, {"max_pages": "3"}])
+def test_machine_config_must_be_analysis_config(config):
+    payload = json.loads(render_machine(report_for(FILLER, name="clean.txt", fmt=PLAIN)))
+    payload["config"].update(config)
+    with pytest.raises(ValueError, match="config"):
+        parse_machine(json.dumps(payload))
+
+
 def test_machine_round_trip_empty():
     report = report_for(FILLER, name="clean.txt", fmt=PLAIN)
     assert parse_machine(render_machine(report)) == report
