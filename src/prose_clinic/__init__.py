@@ -18,7 +18,6 @@ from .document import (
     tokenize,
 )
 from .lexicon import (
-    ConnectorClass,
     Lexicon,
     LexiconError,
     default_lexicon,
@@ -45,7 +44,6 @@ __all__ = [
     "__version__",
     "AnalysisConfig",
     "ConfigError",
-    "ConnectorClass",
     "Diagnostic",
     "Document",
     "DocumentStructureError",

@@ -59,9 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args) -> AnalysisConfig:
-    cfg = AnalysisConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
+    cfg = load_config(args.config) if args.config else AnalysisConfig()
     overrides = {
         field.name: value
         for field in dataclasses.fields(AnalysisConfig)

@@ -69,9 +69,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, int | fl
     return overrides
 
 
-def load_config(path: str, base: AnalysisConfig | None = None) -> AnalysisConfig:
-    """Read a config file and apply it over the base (or the defaults)."""
-    base = base or AnalysisConfig()
+def load_config(path: str) -> AnalysisConfig:
+    """Read a config file and apply it over the defaults."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -80,4 +79,4 @@ def load_config(path: str, base: AnalysisConfig | None = None) -> AnalysisConfig
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     overrides = parse_config_text(text, source=path)
-    return dataclasses.replace(base, **overrides)
+    return AnalysisConfig(**overrides)

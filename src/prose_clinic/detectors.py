@@ -165,7 +165,8 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     lexicon, store = doc.lexicon, doc.store
     words = store.word_lower
     connectors = lexicon.coordinating | lexicon.subordinating | lexicon.conjunctive_adverbs
-    # As in connector_class, a word that also coordinates does not subordinate.
+    # A word in both sets counts as coordinating: it joins clauses of equal
+    # rank, so it opens no lead.
     subordinators = lexicon.subordinating - lexicon.coordinating
     out = []
     for sentence in doc.iter_sentences():

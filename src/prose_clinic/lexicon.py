@@ -3,29 +3,19 @@
 Everything here is a plain lookup table: connector classes, be-forms,
 demonstratives, nominalization suffixes, intensity and superlative vocabulary,
 sentence-boundary abbreviations, and a standard stopword list. The tables
-hold lowercase entries, and lookups are case-insensitive: the parse folds
+hold lowercase entries, and a word is classified by testing its lowercase
+form against a set (``word.lower() in lexicon.be_forms``): the parse folds
 each distinct word form to lowercase once (TokenStore.word_lower), and the
-detectors test those forms against the sets directly. The Lexicon
-predicates (is_stopword, connector_class, ...) lowercase their argument and
-stay the public way to classify one word. The two tests that are more than a
-set lookup each live in one helper that takes a lowercase form
-(is_folded_nominalization, folded_intensity_family): the predicates
-lowercase and call it, and the detectors call it on the folded forms. The
-tables can be extended from a plain-text file, see load_lexicon_extensions.
+detectors test those forms. The two tests that are more than a set lookup
+each live in one helper that takes a lowercase form
+(is_folded_nominalization, folded_intensity_family). The tables can be
+extended from a plain-text file, see load_lexicon_extensions.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, fields, replace
-
-
-class ConnectorClass(enum.Enum):
-    COORDINATING = "coordinating"
-    SUBORDINATING = "subordinating"
-    CONJUNCTIVE_ADVERB = "conjunctive_adverb"
-    NONE = "none"
 
 
 class LexiconError(ValueError):
@@ -114,47 +104,15 @@ class Lexicon:
     superlatives: frozenset[str]
     abbreviations: frozenset[str]
 
-    def connector_class(self, word: str) -> ConnectorClass:
-        w = word.lower()
-        if w in self.coordinating:
-            return ConnectorClass.COORDINATING
-        if w in self.subordinating:
-            return ConnectorClass.SUBORDINATING
-        if w in self.conjunctive_adverbs:
-            return ConnectorClass.CONJUNCTIVE_ADVERB
-        return ConnectorClass.NONE
-
-    def is_be_form(self, word: str) -> bool:
-        return word.lower() in self.be_forms
-
-    def is_demonstrative(self, word: str) -> bool:
-        return word.lower() in self.demonstratives
-
-    def is_stopword(self, word: str) -> bool:
-        return word.lower() in self.stopwords
-
-    def is_nominalization(self, word: str) -> bool:
-        return self.is_folded_nominalization(word.lower())
-
     def is_folded_nominalization(self, form: str) -> bool:
-        """is_nominalization of a lowercase form. A word reads as a
-        nominalization when it is long enough (>= 7 characters) and carries
-        one of the noun-making suffixes; short nouns like "nation" do not
-        qualify."""
+        """Whether a lowercase form reads as a nominalization: it is long
+        enough (>= 7 characters) and carries one of the noun-making
+        suffixes; short nouns like "nation" do not qualify."""
         return len(form) >= 7 and form.endswith(self.nominalization_suffixes)
 
-    def is_intensity_word(self, word: str) -> bool:
-        return word.lower() in self.intensity_words
-
-    def is_superlative(self, word: str) -> bool:
-        return word.lower() in self.superlatives
-
-    def intensity_family(self, word: str) -> str:
-        return self.folded_intensity_family(word.lower())
-
     def folded_intensity_family(self, form: str) -> str:
-        """intensity_family of a lowercase form. Adverb and adjective forms
-        pool: "importantly" and "important" report under one family key."""
+        """The family key of a lowercase intensity form. Adverb and adjective
+        forms pool: "importantly" and "important" report under one key."""
         if form.endswith("ly") and len(form) > 4:
             return form[:-2]
         return form

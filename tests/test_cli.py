@@ -1,21 +1,29 @@
+import contextlib
+import dataclasses
 import errno
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prose_clinic.cli import run
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.reporting import parse_machine
+from prose_clinic.document import FORMATS
+from prose_clinic.reporting import parse_machine, render_machine
 
-from docbuild import FILLER, FILLER_SHORT, paragraphs
+from docbuild import FILLER, FILLER_SHORT, INTENSITY_ADV, paragraphs
 from passages import (
     FIRESIDE_GOOD,
     LORIMETER_ORIGINAL,
     STROSIS_UNLINKED,
+    SUPERLATIVE_PASSAGE,
+    TOPICS_ORIGINAL,
     TRAIL_ORIGINAL,
 )
 
@@ -374,3 +382,95 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "prose_clinic" in loaded
     assert loaded - set(sys.stdlib_module_names) - {"__main__", "prose_clinic"} == set()
+
+
+# Pieces that reach each part of the pipeline: headings, footnote markers and
+# definitions (a marker without one is a structure error), rule passages,
+# non-ASCII and CRLF text. Bytes that are not UTF-8 come from st.binary.
+_DOC_PIECES = st.sampled_from([
+    "# Method\n", "## Results [^1]\n", "[^1]: A note.\n", "[^2]: Another.\n",
+    "Alpha cites it.[^3]\n\n[^3]: A note.\n", "See [^1]. ", "[^x]", "\n\n", "\r\n", "\ufeff", "İ Über, e.g. Dr. Alpha. ",
+    FILLER + " ", INTENSITY_ADV + " ", STROSIS_UNLINKED, TRAIL_ORIGINAL,
+    TOPICS_ORIGINAL, SUPERLATIVE_PASSAGE, LORIMETER_ORIGINAL, "most shiniest. ",
+])
+_DOC_TEXT = st.lists(st.one_of(_DOC_PIECES, st.text(max_size=8)), max_size=12).map("".join)
+_DOC_BYTES = st.one_of(_DOC_TEXT.map(str.encode), _DOC_TEXT.map(str.encode),
+                       st.binary(max_size=40))
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(AnalysisConfig)]
+_CONFIG_TEXT = st.lists(
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS),
+              st.sampled_from(["1", "3", "25", "9" * 40, "1_000"])),
+    max_size=6).map("\n".join)
+_BAD_CONFIG_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS + ["bogus"]),
+              st.sampled_from(["0.5", "0", "-2", "nan", "inf", "1e400", "1e-300", "x", ""])),
+    st.sampled_from(["# a comment", "", "no equals sign"]),
+    st.text(max_size=10),
+)
+_LEXICON_TEXT = st.lists(
+    st.builds("[{}]\n{}".format,
+              st.sampled_from(["superlatives", "subordinating", "abbreviations", "stopwords"]),
+              st.sampled_from(["shiniest", "granted", "alpha.", "# note", "most"])),
+    max_size=4).map("\n".join)
+_BAD_LEXICON_LINE = st.one_of(st.sampled_from(["[verbs]", "[]"]), st.text(max_size=10))
+
+
+def _option_file(good_text, bad_line):
+    """None (no file), a well-formed file, one with a drawn line appended,
+    or arbitrary bytes."""
+    return st.one_of(
+        st.none(),
+        good_text.map(str.encode),
+        st.builds("{}\n{}".format, good_text, bad_line).map(str.encode),
+        st.binary(max_size=30),
+    )
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(st.lists(_DOC_BYTES, min_size=1, max_size=2),
+       _option_file(_CONFIG_TEXT, _BAD_CONFIG_LINE),
+       _option_file(_LEXICON_TEXT, _BAD_LEXICON_LINE))
+def test_any_input_files_end_in_a_documented_exit_code(documents, config, lexicon):
+    with tempfile.TemporaryDirectory() as folder:
+        argv = ["analyze"]
+        for flag, name, data in (("--config", "clinic.cfg", config),
+                                 ("--lexicon", "extra.lex", lexicon)):
+            if data is not None:
+                argv += [flag, os.path.join(folder, name)]
+                with open(argv[-1], "wb") as fh:
+                    fh.write(data)
+        paths = []
+        for i, data in enumerate(documents):
+            paths.append(os.path.join(folder, f"doc{i}.md"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(data)
+        for fmt in sorted(FORMATS):
+            codes = set()
+            for output in ("human", "machine"):
+                code, out, err = _run_captured(
+                    argv + ["--format", fmt, "--output", output, *paths])
+                codes.add(code)
+                assert code in (0, 1, 2)
+                if code == 1:
+                    assert out
+                if code == 2:
+                    assert any(line.startswith("clinic: ") for line in err.splitlines())
+                else:
+                    assert err == ""
+            # The machine run is the last: each line round-trips, and exit 1
+            # means findings and nothing else.
+            lines = out.split("\n")
+            assert lines.pop() == ""
+            reports = [parse_machine(line) for line in lines]
+            for line, report in zip(lines, reports):
+                assert render_machine(report) == line + "\n"
+            if code != 2:
+                assert code == any(r.diagnostics or r.maladies for r in reports)
+            assert len(codes) == 1

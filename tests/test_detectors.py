@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import prose_clinic
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Severity, run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
@@ -419,3 +420,9 @@ def test_diagnostic_spans_stay_inside_the_source():
         assert 0 <= diag.span.start_byte < diag.span.end_byte <= len(doc.source)
         for span in diag.evidence:
             assert 0 <= span.start_byte < span.end_byte <= len(doc.source)
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library_use = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in prose_clinic.__all__ if f"`{name}`" not in library_use] == []

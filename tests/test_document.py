@@ -435,7 +435,7 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
             assert sentence.word_count == sum(
                 1 for t in sentence.tokens if t.kind in (WORD, NUMBER))
             assert sentence.stems == tuple(
-                stem(t.text) for t in words if not lexicon.is_stopword(t.text))
+                stem(t.text) for t in words if t.text.lower() not in lexicon.stopwords)
         assert paragraph.word_count == sum(s.word_count for s in paragraph.sentences)
         total += paragraph.word_count
         last_end = p.end_byte
@@ -749,7 +749,7 @@ def _keywords_by_tokenize(doc, cfg):
     if doc.sections:
         opening = doc.sections[0]
         counts.update([stem(t.text) for t in tokenize(opening.heading_text)
-                       if t.kind == WORD and not doc.lexicon.is_stopword(t.text)])
+                       if t.kind == WORD and t.text.lower() not in doc.lexicon.stopwords])
         for paragraph in opening.paragraphs[:2]:
             for sentence in paragraph.sentences:
                 counts.update(sentence.stems)

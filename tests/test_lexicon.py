@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prose_clinic.document import PLAIN, parse_document
 from prose_clinic.lexicon import (
-    ConnectorClass,
     LexiconError,
     default_lexicon,
     load_lexicon_extensions,
@@ -16,22 +16,30 @@ def lex():
     return default_lexicon()
 
 
+_CONNECTOR_SETS = ("coordinating", "subordinating", "conjunctive_adverbs")
+
+
+def _connector_sets_holding(lex, form):
+    return [name for name in _CONNECTOR_SETS if form in getattr(lex, name)]
+
+
 @pytest.mark.parametrize(
     "word,expected",
     [
-        ("but", ConnectorClass.COORDINATING),
-        ("But", ConnectorClass.COORDINATING),
-        ("so", ConnectorClass.COORDINATING),
-        ("although", ConnectorClass.SUBORDINATING),
-        ("while", ConnectorClass.SUBORDINATING),
-        ("moreover", ConnectorClass.CONJUNCTIVE_ADVERB),
-        ("Therefore", ConnectorClass.CONJUNCTIVE_ADVERB),
-        ("telerium", ConnectorClass.NONE),
-        ("the", ConnectorClass.NONE),
+        ("but", "coordinating"),
+        ("But", "coordinating"),
+        ("so", "coordinating"),
+        ("although", "subordinating"),
+        ("while", "subordinating"),
+        ("moreover", "conjunctive_adverbs"),
+        ("Therefore", "conjunctive_adverbs"),
+        ("telerium", None),
+        ("the", None),
     ],
 )
 def test_connector_class(lex, word, expected):
-    assert lex.connector_class(word) == expected
+    # The tables hold lowercase entries: a word is classed by its lowercase form.
+    assert _connector_sets_holding(lex, word.lower()) == ([expected] if expected else [])
 
 
 def test_connector_classes_are_disjoint(lex):
@@ -43,14 +51,13 @@ def test_connector_classes_are_disjoint(lex):
 def test_stopwords_outside_connector_sets_map_to_none(lex):
     connectors = lex.coordinating | lex.subordinating | lex.conjunctive_adverbs
     for word in lex.stopwords - connectors:
-        assert lex.connector_class(word) == ConnectorClass.NONE
+        assert _connector_sets_holding(lex, word) == []
 
 
 def test_be_forms(lex):
-    for word in ["is", "are", "was", "were", "be", "been", "being", "am", "Is"]:
-        assert lex.is_be_form(word)
-    assert not lex.is_be_form("introduces")
-    assert not lex.is_be_form("serves")
+    assert lex.be_forms == {"is", "are", "was", "were", "be", "been", "being", "am"}
+    assert "Is".lower() in lex.be_forms
+    assert "Is" not in lex.be_forms
 
 
 @pytest.mark.parametrize(
@@ -70,22 +77,37 @@ def test_be_forms(lex):
     ],
 )
 def test_is_nominalization(lex, word, expected):
-    assert lex.is_nominalization(word) is expected
+    assert lex.is_folded_nominalization(word) is expected
+
+
+# The nominalization test and the intensity family of each word's
+# lowercase form.
+_FORM_CLASSES = {
+    "consolidation": (True, "consolidation"),
+    "nation": (False, "nation"),
+    "density": (True, "density"),
+    "importantly": (False, "important"),
+    "significantly": (False, "significant"),
+    "only": (False, "only"),
+    "fly": (False, "fly"),
+}
 
 
 @pytest.mark.parametrize("word", ["Consolidation", "NATION", "Density", "Importantly",
                                   "SIGNIFICANTLY", "Only", "fly"])
 def test_predicates_lowercase_then_test_the_form(lex, word):
-    # The detectors call the form helpers on folded forms directly.
-    form = word.lower()
-    assert lex.is_nominalization(word) is lex.is_folded_nominalization(form)
-    assert lex.intensity_family(word) == lex.folded_intensity_family(form)
+    # The parse stores each word's lowercase form once, and the detectors
+    # test that form: a capitalised word classes as its lowercase form does.
+    (form,) = parse_document(word, PLAIN).store.word_lower
+    assert form == word.lower()
+    assert (lex.is_folded_nominalization(form),
+            lex.folded_intensity_family(form)) == _FORM_CLASSES[form]
 
 
 def test_demonstratives(lex):
-    for word in ["this", "these", "such", "that", "those", "Such"]:
-        assert lex.is_demonstrative(word)
-    assert not lex.is_demonstrative("it")
+    assert lex.demonstratives == {"this", "these", "such", "that", "those"}
+    assert "Such".lower() in lex.demonstratives
+    assert "it" not in lex.demonstratives
 
 
 @pytest.mark.parametrize(
@@ -121,17 +143,18 @@ def test_stem_never_returns_longer_word(word):
 
 
 def test_intensity_family_pools_adverb_and_adjective(lex):
-    assert lex.intensity_family("important") == lex.intensity_family("importantly")
-    assert lex.intensity_family("significantly") == "significant"
-    assert lex.intensity_family("Important") == "important"
+    assert (lex.folded_intensity_family("important")
+            == lex.folded_intensity_family("importantly") == "important")
+    assert lex.folded_intensity_family("significantly") == "significant"
+    assert lex.folded_intensity_family("Important".lower()) == "important"
 
 
 def test_intensity_and_superlative_membership(lex):
-    assert lex.is_intensity_word("Importantly")
-    assert not lex.is_intensity_word("big")
-    assert lex.is_superlative("noblest")
-    assert lex.is_superlative("best")
-    assert not lex.is_superlative("better")
+    assert "Importantly".lower() in lex.intensity_words
+    assert "big" not in lex.intensity_words
+    assert "noblest" in lex.superlatives
+    assert "best" in lex.superlatives
+    assert "better" not in lex.superlatives
 
 
 def test_extension_file(tmp_path, lex):
@@ -146,10 +169,11 @@ def test_extension_file(tmp_path, lex):
         encoding="utf-8",
     )
     extended = load_lexicon_extensions(str(ext), lex)
-    assert extended.is_intensity_word("remarkably")
-    assert extended.connector_class("granted") == ConnectorClass.SUBORDINATING
+    assert "remarkably" in extended.intensity_words
+    assert _connector_sets_holding(extended, "granted") == ["subordinating"]
     # the base lexicon is untouched
-    assert not lex.is_intensity_word("remarkably")
+    assert "remarkably" not in lex.intensity_words
+    assert "granted" not in lex.subordinating
 
 
 def test_extension_file_rejects_unknown_class(tmp_path):
@@ -170,7 +194,7 @@ def test_extension_file_rejects_entry_before_header(tmp_path):
 def test_extension_file_ignores_byte_order_mark(tmp_path):
     ext = tmp_path / "bom.lex"
     ext.write_text("\ufeff[superlatives]\nshiniest\n", encoding="utf-8")
-    assert load_lexicon_extensions(str(ext)).is_superlative("shiniest")
+    assert "shiniest" in load_lexicon_extensions(str(ext)).superlatives
 
 
 def test_unreadable_extension_file_is_a_lexicon_error(tmp_path):
