@@ -22,10 +22,13 @@ a single TokenStore of flat arrays, with each body token's start and end
 offsets and kind code, and three arrays aligned by word: each WORD token's
 token index, lowercase form and content stem (None for a stopword). The scan
 is batched: no Python code runs per token. One findall cuts the text into
-chunks (a token with the whitespace before it), one table per parse
-(WordFold) maps each distinct chunk to its kind, length, lowercase form and
-stem, and C-level iterators turn those entries into the arrays. So each
-distinct word form is lowercased and stemmed once. A long paragraph is
+chunks (a token with the whitespace before it), one table (WordFold) maps
+each distinct chunk to its kind, length, lowercase form and stem, and
+C-level iterators turn those entries into the arrays. The parses share the
+table (up to _FOLD_LIMIT entries, for one stopword set), so each distinct
+word form is lowercased and stemmed once per table, not per parse; an entry
+depends only on the chunk, the stopwords and the pure stem, so a warm table
+gives what a fresh one gives. A long paragraph is
 matched in pieces of bounded size, cut where a token ends, so its chunk
 strings are never all held at once.
 
@@ -140,7 +143,7 @@ _MARK_CODES = {",": COMMA_CODE, ".": STOP_CODE, "!": STOP_CODE, "?": STOP_CODE}
 
 
 class WordFold(dict):
-    """The fold table of one parse: a chunk of source text (a token, maybe
+    """The fold table the scans share: a chunk of source text (a token, maybe
     with whitespace before it) maps to (kind code, token length, lowercase
     form, content stem). The form and the stem are None but for a WORD
     token, and the stem is None for a stopword too. A chunk is folded at its
@@ -180,6 +183,23 @@ class WordFold(dict):
         return entry
 
 
+# The scans share one fold table, for the stopwords of the last scan. A scan
+# that leaves it over _FOLD_LIMIT entries replaces it, never clears it (a scan
+# in another thread keeps its own). At ~130 B an entry (0.59 MB for the 4,529
+# of the seed-1 benchmark monograph, by tracemalloc) that caps it near 8.5 MB.
+_FOLD_LIMIT = 1 << 16
+_fold = WordFold(frozenset())
+
+
+def _shared_fold(stopwords: frozenset[str]) -> WordFold:
+    """The shared fold table, replaced if full or for other stopwords."""
+    global _fold
+    fold = _fold
+    if len(fold) > _FOLD_LIMIT or (fold.stopwords is not stopwords and fold.stopwords != stopwords):
+        fold = _fold = WordFold(stopwords)
+    return fold
+
+
 class TokenStore:
     """Every token of one parse, in source order, in flat arrays.
 
@@ -209,13 +229,13 @@ class TokenStore:
         self.word_stem: list[str | None] = []
         self.word_token = array("l")
 
-    def scan(self, start: int, end: int, fold: WordFold) -> None:
+    def scan(self, start: int, end: int, stopwords: frozenset[str]) -> None:
         """Append the tokens of source[start:end], and for each WORD token
-        its token index, its lowercase form and its content stem, as fold
-        gives them.
+        its token index, its lowercase form and its content stem, as the
+        shared fold table for stopwords gives them.
 
         No Python code runs per token, but for chunks the fold has not seen.
-        One findall cuts a piece of the range into chunks; fold maps each
+        One findall cuts a piece of the range into chunks; the fold maps each
         chunk to its entry; and map, accumulate, compress and bytes.translate
         turn the entries into the arrays. The range is matched in pieces of
         about _PIECE characters, each cut at the end of a token: a token
@@ -226,6 +246,7 @@ class TokenStore:
         # try every position of a trailing whitespace run again.
         while end > start and source[end - 1].isspace():
             end -= 1
+        fold = _shared_fold(stopwords)
         while start < end:
             cut = end
             if end - start > _PIECE:
@@ -235,6 +256,8 @@ class TokenStore:
             first = len(kinds)
             chunks = _CHUNK_RE.findall(source, start, cut)
             entries = list(map(fold.__getitem__, chunks))
+            if len(fold) > _FOLD_LIMIT:
+                fold = _shared_fold(stopwords)
             # A chunk ends where its token does. (array.fromlist takes a
             # list faster than array.extend takes an iterator.)
             piece_ends = list(accumulate(map(len, chunks), initial=start))
@@ -372,7 +395,7 @@ def scan_text(text: str, lexicon: Lexicon) -> TokenStore:
     """A TokenStore of all of text, its words folded with the lexicon's
     stopwords as a parse folds them."""
     store = TokenStore(text)
-    store.scan(0, len(text), WordFold(lexicon.stopwords))
+    store.scan(0, len(text), lexicon.stopwords)
     return store
 
 
@@ -413,7 +436,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
     starts, ends, kind, word_token = store.start, store.end, store.kind, store.word_token
-    fold = WordFold(lexicon.stopwords)
+    stopwords = lexicon.stopwords
     abbreviations: dict[int, set[str]] = {}  # by length
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
@@ -432,7 +455,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             return
         # Block lines are never blank, so there is at least one token.
         first_token, first_word = len(kind), len(word_token)
-        store.scan(block_start, block_end, fold)
+        store.scan(block_start, block_end, stopwords)
         block_start = -1
         last_token, last_word = len(kind), len(word_token)
         # A sentence ends after a terminator token k followed by whitespace

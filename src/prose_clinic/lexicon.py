@@ -14,7 +14,6 @@ extended from a plain-text file, see load_lexicon_extensions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields, replace
 
 
@@ -136,7 +135,6 @@ def default_lexicon() -> Lexicon:
     return _DEFAULT
 
 
-@functools.cache
 def stem(word: str) -> str:
     """Light inflectional stem: lowercase, then drop possessive markers and
     trailing apostrophes and strip -ing/-ed/-es/-s until nothing more comes

@@ -8,9 +8,8 @@ JSON object on one line, that parses back into an equal Report.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import AnalysisConfig
 from .detectors import REGISTRY, Diagnostic
@@ -70,10 +69,14 @@ def _span_payload(span: Span) -> dict:
     }
 
 
+# The config's fields are flat numbers: no dataclasses.asdict deep copy.
+_CONFIG_FIELDS = tuple(f.name for f in fields(AnalysisConfig))
+
+
 def render_machine(report: Report) -> str:
     payload = {
         "document": report.document,
-        "config": dataclasses.asdict(report.config),
+        "config": {name: getattr(report.config, name) for name in _CONFIG_FIELDS},
         "diagnostics": [
             {
                 "rule_id": d.rule_id,

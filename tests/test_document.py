@@ -1,5 +1,7 @@
 import gc
 import re
+import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -7,7 +9,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prose_clinic import document
@@ -925,3 +927,136 @@ def test_one_long_paragraph_parses_in_bounded_memory():
         tracemalloc.stop()
     assert [len(s.paragraphs) for s in doc.sections] == [1]
     assert peak - before <= 1.5 * (retained - before)
+
+
+# Text with "İ", combining marks and rule triggers, drawn with its case
+# swapped or not ("İ" swaps to "i̇", two code points); and text of a few
+# words in several spellings, so that two draws share forms. "İs" and "İS"
+# share the form "i̇s", which is a character longer than either.
+_WARMING_TEXT = st.one_of(
+    st.tuples(_CASE_TEXT, st.booleans()).map(lambda t: t[0].swapcase() if t[1] else t[0]),
+    st.lists(st.sampled_from([
+        "İs", "İS", "is", "IS", "İ", "Alpha", "ALPHA", "alpha", "Model", "MODEL", "model",
+        "The", "THE", "Most", "most", "Best", "Ångström", "ÅNGSTRÖM", "don't", "DON'T", "42",
+        ".", ",", "\n\n"]), max_size=30).map(" ".join))
+
+
+def _fresh_fold():
+    """Patches the module's shared fold table with an empty one, so that a
+    parse inside the block starts cold."""
+    return mock.patch.object(document, "_fold", document.WordFold(frozenset()))
+
+
+def _parse_facts(doc, cfg):
+    diagnostics = run_all(doc, cfg)
+    return (_store_arrays(doc.store), list(doc.iter_sentences()), doc, diagnostics,
+            infer_maladies(doc, diagnostics, cfg))
+
+
+@settings(deadline=None)
+@given(_HEADING, _WARMING_TEXT, _WARMING_TEXT,
+       st.sampled_from([None, str.swapcase, str.lower, str.upper]), _LEXICONS, _LEXICONS,
+       st.sampled_from(FORMATS), _CONFIGS)
+# "İS" leaves the form "i̇s" in the table, and "İs" must then take the
+# chunk's own length, not the form's.
+@example("Alpha", "İs", "", str.upper, default_lexicon(), default_lexicon(), "plain",
+         AnalysisConfig())
+def test_a_warm_fold_table_parses_as_a_fresh_one(heading, body, other, recase, first_lexicon,
+                                                  lexicon, fmt, cfg):
+    # The fold table is kept across parses: a parse of B after a parse of A,
+    # with the same stopwords or others, gives what a parse of B on a fresh
+    # table gives. A is drawn on its own or is B in other cases, so that the
+    # warm table holds other spellings of B's forms.
+    second = f"# {heading}\n\n{body}"
+    first = recase(second) if recase else other
+    with _fresh_fold():
+        fresh = _parse_or_none(second, fmt, lexicon)
+        if fresh is None:
+            return
+        expected = _parse_facts(fresh, cfg)
+    with _fresh_fold():
+        _parse_or_none(first, fmt, first_lexicon)
+        warm = parse_document(second, fmt, lexicon=lexicon)
+    assert _parse_facts(warm, cfg) == expected
+
+
+def test_the_fold_table_stays_within_its_bound(monkeypatch):
+    # Many parses of words that no parse shares: the table is replaced when
+    # it passes the bound, and never holds more than the bound between
+    # parses. A long paragraph, cut into small pieces, passes the bound in
+    # the middle of a scan.
+    texts = [" ".join(f"W{i}n{j}s. word{i}x{j}" for j in range(12)) for i in range(40)]
+    texts.append(" ".join(f"Long{j}ing" for j in range(600)))
+    cfg = AnalysisConfig()
+    expected = []
+    for text in texts:
+        with _fresh_fold():
+            expected.append(_parse_facts(parse_document(text, "plain"), cfg))
+    monkeypatch.setattr(document, "_FOLD_LIMIT", 50)
+    monkeypatch.setattr(document, "_PIECE", 64)
+    monkeypatch.setattr(document, "_fold", document.WordFold(frozenset()))
+    tables = []
+    for text, facts in zip(texts, expected):
+        doc = parse_document(text, "plain")
+        if not tables or tables[-1] is not document._fold:
+            tables.append(document._fold)
+        assert len(document._fold) <= 50
+        assert _parse_facts(doc, cfg) == facts
+        scan_text(text, doc.lexicon)
+        assert len(document._fold) <= 50
+    assert len(tables) > 10
+
+
+def test_a_scan_with_other_stopwords_replaces_the_fold_table():
+    # One slot: the table folds with the stopwords of the last scan, and a
+    # scan with an equal set keeps it.
+    other = replace(default_lexicon(), stopwords=default_lexicon().stopwords | {"model"})
+    equal = replace(default_lexicon(), stopwords=frozenset(default_lexicon().stopwords))
+    with _fresh_fold():
+        assert scan_text("The model", default_lexicon()).word_stem == [None, "model"]
+        table = document._fold
+        assert scan_text("The model", equal).word_stem == [None, "model"]
+        assert document._fold is table
+        assert scan_text("The model", other).word_stem == [None, None]
+        assert document._fold is not table
+        assert document._fold.stopwords == other.stopwords
+
+
+def test_threads_that_replace_the_fold_table_parse_as_a_fresh_table_does(monkeypatch):
+    # Threads share the fold slot, and with two stopword sets and a small
+    # bound they keep replacing each other's table mid-scan. Each scan keeps
+    # the table it holds, so every parse still equals a fresh one.
+    lexicons = [default_lexicon(),
+                replace(default_lexicon(),
+                        stopwords=default_lexicon().stopwords | {"alpha", "model", "i\u0307s"})]
+    texts = ["\n\n".join(_RULE_PASSAGES[i::3]) + f" Alpha{i} İs MODEL" for i in range(3)]
+    expected = {}
+    for t, text in enumerate(texts):
+        for n, lexicon in enumerate(lexicons):
+            with _fresh_fold():
+                expected[t, n] = _store_arrays(parse_document(text, "plain", lexicon=lexicon).store)
+    monkeypatch.setattr(document, "_FOLD_LIMIT", 200)
+    monkeypatch.setattr(document, "_PIECE", 256)
+    wrong, done = [], []
+
+    def work(i):
+        for k in range(12):
+            t, n = (i + k) % len(texts), (i * k + k) % len(lexicons)
+            doc = parse_document(texts[t], "plain", lexicon=lexicons[n])
+            if _store_arrays(doc.store) != expected[t, n]:
+                wrong.append((i, k))
+        done.append(i)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert wrong == []
