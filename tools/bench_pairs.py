@@ -11,8 +11,9 @@ neither side. Every run's end-to-end metrics are kept, with the median and
 the interquartile range of each side and, for each metric that
 BENCHMARK.json declares, the number of pairs in which this tree did better.
 The record also gives both git revisions, the Python version and the CPU
-count. A run that exits non-zero, or is not ``correct``, or has failed
-operations, is recorded as it is and makes the tool exit 1.
+count. Each call appends its record to the ``records`` list in --out. A run
+that exits non-zero, or is not ``correct``, or has failed operations, is
+recorded as it is and makes the tool exit 1.
 """
 
 from __future__ import annotations
@@ -127,7 +128,10 @@ def main(argv=None) -> int:
                 **{side: _summary([r for r in runs if r["side"] == side]) for side in trees},
                 "tree_better_in_pairs": _wins(pairs, declared),
             }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    out = Path(args.out)
+    records = json.loads(out.read_text(encoding="utf-8"))["records"] if out.exists() else []
+    out.write_text(json.dumps({"records": [*records, record]}, indent=1) + "\n",
+                   encoding="utf-8")
     return 0 if ok else 1
 
 
