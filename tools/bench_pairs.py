@@ -1,7 +1,7 @@
 """Alternating benchmark runs of a parent revision and of this tree.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload submissions \
-        --seeds 401 402 403 404 405 --seconds 30 --out BENCH_17.json
+        --seeds 401 402 403 404 405 --out BENCH_17.json
 
 Exports the parent revision with ``git archive`` to a temporary directory,
 then runs ``perfbench/run.py --trace 0`` once in each tree per workload and
@@ -90,12 +90,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True,
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float,
+                        help="length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out", required=True, help="where to write the JSON record")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    args.seconds = args.seconds or benchmark["run_seconds"]
     record = {
         "revisions": {"parent": _git("rev-parse", args.parent), "tree": _git("rev-parse", "HEAD"),
                       "tree_dirty": bool(_git("status", "--porcelain", "--untracked-files=no"))},
