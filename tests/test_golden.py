@@ -57,6 +57,26 @@ OPENING = [
 BASIS = [STROSIS_UNLINKED, GROWN, GROWN, DETAIL_FIRST_PARAGRAPH]
 SURVEY_SECTION = [SURVEY + " " + FILLER]
 
+# Markdown layout, CRLF throughout: blank lines that hold only spaces and
+# tabs, "\r", "\x0b" or "\x0c"; "#x" and "####### x" lines, which are body
+# text; a heading with closing hashes and a marker, directly followed by
+# text; and a definition whose body follows a tab and ends in "\r".
+LAYOUT = "\r\n".join([
+    STORYLINE_BROKEN_OPENERS[0] + " " + TRAIL_ORIGINAL,
+    " \t ",
+    "#x marks no heading. " + STORYLINE_BROKEN_OPENERS[1],
+    "####### x marks none either. " + FIRESIDE_INTERRUPTED,
+    "\r",
+    "## Results[^1] ##",
+    STROSIS_UNLINKED,
+    "\x0b",
+    GROWN,
+    "\x0c",
+    DETAIL_FIRST_PARAGRAPH,
+    "\t",
+    "[^1]:\tA note on the results.\r",
+]) + "\r\n"
+
 
 def corpus() -> dict[str, str]:
     symptoms_md = "\n\n".join(
@@ -73,6 +93,7 @@ def corpus() -> dict[str, str]:
         "symptoms.md": symptoms_md,
         "symptoms.txt": symptoms_txt,
         "composite.md": composite,
+        "layout.md": LAYOUT,
     }
 
 
@@ -86,6 +107,8 @@ CASES = {
     "multi-path": ["analyze", "clean.txt", "symptoms.md", "composite.md"],
     "max-pages": ["analyze", "--max-pages", "25", "composite.md"],
     "rules-filter": ["analyze", "--rules", "S601,S101", "symptoms.md"],
+    "layout-human": ["analyze", "layout.md"],
+    "layout-machine": ["analyze", "--output", "machine", "layout.md"],
 }
 
 
