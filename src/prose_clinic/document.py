@@ -28,16 +28,18 @@ C-level iterators turn those entries into the arrays. The parses share the
 table (up to _FOLD_LIMIT entries, for one stopword set), so each distinct
 word form is lowercased and stemmed once per table, not per parse; an entry
 depends only on the chunk, the stopwords and the pure stem, so a warm table
-gives what a fresh one gives. A long paragraph is
-matched in pieces of bounded size, cut where a token ends, so its chunk
-strings are never all held at once.
+gives what a fresh one gives. A long range is matched in pieces of bounded
+size, cut where a token ends, so its chunk strings are never all held at once.
 
-The parse scans each paragraph once and cuts its sentences on the kind codes
-the scan wrote: ". ! ?" have a code of their own (STOP_CODE), so the breaks
-are found with bytearray.find, and each sentence's word range by bisecting
-the store's word token indices at its end token. A Sentence holds its word
-count and index ranges into that store, and a Paragraph its sentences, so
-the store is the one record of where text lies.
+In markdown one regex (_STRUCTURE_RE) finds the headings and definitions;
+plain text has none. The parse scans each run of body text between two of
+them once. A gap between two of its tokens that holds a blank line is a
+paragraph break, and sentences are cut on the kind codes the scan wrote:
+". ! ?" have a code of their own (STOP_CODE), so the breaks are found with
+bytearray.find, and each sentence's word range by bisecting the store's word
+token indices at its end token. A Sentence holds its word count and index
+ranges into that store, and a Paragraph its sentences, so the store is the one
+record of where text lies.
 ``.span``, ``Sentence.tokens``, ``.words`` and ``.stems`` are views built on
 each access, and only the Token views slice text out of the source; the
 parse builds a Span (with its line and column) only for footnotes, and the
@@ -50,7 +52,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, pairwise
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -126,13 +128,16 @@ _CHUNK_RE = re.compile(rf"\s*(?:{_MARKER}|{_UNIT}(?:[-‐‑'’]{_UNIT})*|\S)")
 _TOKEN_END_RE = re.compile(r"\S\s")
 _MARKER_RE = re.compile(_MARKER)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]")
-_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
-_FOOTNOTE_DEF_RE = re.compile(rf"^\[\^({_ID})\]:\s?(.*)$")
+# A structure line of markdown: an ATX heading or a footnote definition.
+# Inside a line, whitespace is [^\S\n]; with \s, "#\nText" would be a heading.
+_STRUCTURE_RE = re.compile(rf"^(?:(#{{1,6}})[^\S\n]+(\S.*)|\[\^({_ID})\]:[^\S\n]?(.*))", re.M)
+# A blank line: a line of whitespace only, so between two line ends.
+_BLANK_LINE_RE = re.compile(r"\n[^\S\n]*\n")
 # "\s#+", not "\s+#+", which backtracks over every whitespace run in a heading.
 _CLOSING_HASHES_RE = re.compile(r"\s#+\s*$")
 
 # TokenStore.scan matches at most about this many characters at a time, so
-# that the chunk strings of one long paragraph are never all held at once.
+# that the chunk strings of one long run of body text are never all held at once.
 _PIECE = 32_768
 # The fields of a WordFold entry.
 _CODE, _LENGTH, _FORM, _STEM = map(itemgetter, range(4))
@@ -421,47 +426,26 @@ def _ends_with_abbreviation(source: str, end: int, abbreviations: dict[int, set[
     return False
 
 
-def parse_document(source: str, format: str = MARKDOWN, *,
-                   lexicon: Lexicon | None = None,
-                   words_per_page: int = DEFAULT_WORDS_PER_PAGE) -> Document:
-    """Parse a manuscript into sections, paragraphs, sentences, and footnotes.
-
-    Raises DocumentStructureError for a footnote marker without a definition,
-    a definition without a marker, a duplicated definition, or an empty body.
-    """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    if words_per_page < 1:
-        raise ValueError("words_per_page must be positive")
-    lexicon = lexicon or default_lexicon()
-    store = TokenStore(source)
-    starts, ends, kind, word_token = store.start, store.end, store.kind, store.word_token
-    stopwords = lexicon.stopwords
-    abbreviations: dict[int, set[str]] = {}  # by length
-    for abbr in lexicon.abbreviations:
-        abbreviations.setdefault(len(abbr), set()).add(abbr)
-
-    # (heading, level, paragraphs); the untitled section opens up front and
-    # is dropped at the end if a heading followed it and it stayed empty.
-    sections: list[tuple[str, int, list[Paragraph]]] = [("", 0, [])]
-    block_start = block_end = -1  # offsets of the pending block, if any
-    defs: dict[str, Span] = {}
-    # Offset ranges of the footnote markers, in source order.
-    markers: list[tuple[int, int]] = []
-
-    def flush_block() -> None:
-        nonlocal block_start
-        if block_start < 0:
-            return
-        # Block lines are never blank, so there is at least one token.
-        first_token, first_word = len(kind), len(word_token)
-        store.scan(block_start, block_end, stopwords)
-        block_start = -1
-        last_token, last_word = len(kind), len(word_token)
-        # A sentence ends after a terminator token k followed by whitespace
-        # and a capital or a digit, unless k is a lone "." (no terminator right
-        # before it in the block) that ends an abbreviation. k == first_token
-        # is tested first: at k == 0, kind[k - 1] wraps to the last token.
+def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[str],
+                abbreviations: dict[int, set[str]]) -> list[Paragraph]:
+    """Scan source[start:end], a run of body text, and cut its tokens into
+    paragraphs at the blank lines and each paragraph into sentences."""
+    source, starts, ends, kind, word_token = (store.source, store.start, store.end, store.kind,
+                                              store.word_token)
+    first_token, first_word = len(kind), len(word_token)
+    store.scan(start, end, stopwords)
+    last_token, last_word = len(kind), len(word_token)
+    # A paragraph starts at the run's first token and at each token after a
+    # blank line. Tokens hold no whitespace, so a blank line lies in a gap.
+    bounds = sorted({first_token, last_token, *(
+        bisect_left(starts, m.end(), first_token, last_token)
+        for m in _BLANK_LINE_RE.finditer(source, start, end))})
+    paragraphs = []
+    for first_token, last_token in pairwise(bounds):
+        # A sentence ends after a terminator token k followed by whitespace and
+        # a capital or a digit, unless k is a lone "." (no terminator right before
+        # it in the paragraph) that ends an abbreviation. k == first_token is
+        # tested first: at k == 0, kind[k - 1] wraps to the last token.
         cuts = []
         k = first_token - 1
         while (k := kind.find(STOP_CODE, k + 1, last_token - 1)) >= 0:
@@ -479,42 +463,58 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             sentences.append(Sentence(word_count, store, first_token, end_token,
                                       first_word, end_word))
             first_token, first_word = end_token, end_word
-        sections[-1][2].append(Paragraph(tuple(sentences)))
+        paragraphs.append(Paragraph(tuple(sentences)))
+    return paragraphs
 
-    offset = 0
-    for raw_line in source.split("\n"):
-        line_start, line_end = offset, offset + len(raw_line)
-        offset = line_end + 1
-        if not raw_line.strip():
-            flush_block()
-            continue
-        # Only a line that holds "[^" or starts with "#" can be a footnote or heading.
-        if format == MARKDOWN and (raw_line[0] == "#" or "[^" in raw_line):
-            fm = _FOOTNOTE_DEF_RE.match(raw_line)
-            if fm:
-                flush_block()
-                fid = fm.group(1)
-                body = fm.group(2).rstrip()
-                body_start = line_start + fm.start(2)
-                if not body:
-                    raise DocumentStructureError(
-                        f"footnote definition [^{fid}] has an empty body", fid)
-                if fid in defs:
-                    raise DocumentStructureError(
-                        f"duplicate footnote definition [^{fid}]", fid, defs[fid])
-                defs[fid] = store.span(body_start, body_start + len(body))
+
+def parse_document(source: str, format: str = MARKDOWN, *,
+                   lexicon: Lexicon | None = None,
+                   words_per_page: int = DEFAULT_WORDS_PER_PAGE) -> Document:
+    """Parse a manuscript into sections, paragraphs, sentences, and footnotes.
+
+    Raises DocumentStructureError for a footnote marker without a definition,
+    a definition without a marker, a duplicated definition, or an empty body.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    if words_per_page < 1:
+        raise ValueError("words_per_page must be positive")
+    lexicon = lexicon or default_lexicon()
+    store = TokenStore(source)
+    stopwords = lexicon.stopwords
+    abbreviations: dict[int, set[str]] = {}  # by length
+    for abbr in lexicon.abbreviations:
+        abbreviations.setdefault(len(abbr), set()).add(abbr)
+
+    # (heading, level, paragraphs); the untitled section opens up front and
+    # is dropped at the end if a heading followed it and it stayed empty.
+    sections: list[tuple[str, int, list[Paragraph]]] = [("", 0, [])]
+    defs: dict[str, Span] = {}
+    # Offset ranges of the footnote markers, in source order.
+    markers: list[tuple[int, int]] = []
+    # Each structure line ends the run of body text before it, which starts at pos.
+    pos = 0
+    if format == MARKDOWN:
+        for line in _STRUCTURE_RE.finditer(source):
+            sections[-1][2].extend(_paragraphs(store, pos, line.start(), stopwords, abbreviations))
+            hashes, heading, fid, body = line.groups()
+            # Markers count in the body text and in headings, not in definitions.
+            marked_end = line.end() if hashes else line.start()
+            markers += [m.span() for m in _MARKER_RE.finditer(source, pos, marked_end)]
+            pos = line.end()
+            if hashes:
+                sections.append((_CLOSING_HASHES_RE.sub("", heading).strip(), len(hashes), []))
                 continue
-            markers += [m.span() for m in _MARKER_RE.finditer(source, line_start, line_end)]
-            hm = _HEADING_RE.match(raw_line)
-            if hm:
-                flush_block()
-                heading = _CLOSING_HASHES_RE.sub("", hm.group(2)).strip()
-                sections.append((heading, len(hm.group(1)), []))
-                continue
-        if block_start < 0:
-            block_start = line_start
-        block_end = line_end
-    flush_block()
+            body = body.rstrip()
+            if not body:
+                raise DocumentStructureError(
+                    f"footnote definition [^{fid}] has an empty body", fid)
+            if fid in defs:
+                raise DocumentStructureError(
+                    f"duplicate footnote definition [^{fid}]", fid, defs[fid])
+            defs[fid] = store.span(line.start(4), line.start(4) + len(body))
+        markers += [m.span() for m in _MARKER_RE.finditer(source, pos)]
+    sections[-1][2].extend(_paragraphs(store, pos, len(source), stopwords, abbreviations))
     if len(sections) > 1 and not sections[0][2]:
         del sections[0]
     built_sections = tuple(
@@ -539,7 +539,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         sections=built_sections,
         footnotes=tuple(footnotes.values()),
         # The store holds the tokens of the sentences and of nothing else.
-        total_words=len(word_token) + kind.count(NUMBER_CODE),
+        total_words=len(store.word_token) + store.kind.count(NUMBER_CODE),
         lexicon=lexicon,
         store=store,
         words_per_page=words_per_page,

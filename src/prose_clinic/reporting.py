@@ -103,41 +103,56 @@ def render_machine(report: Report) -> str:
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
+def _field(payload, key: str, *types: type):
+    """payload[key], which must be of one of types; a bool counts as no int."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key} has a value of type {type(value).__name__}")
+    return value
+
+
 def _span_from(payload: dict) -> Span:
-    return Span(payload["start_byte"], payload["end_byte"],
-                payload["line"], payload["column"])
+    return Span(*(_field(payload, key, int)
+                  for key in ("start_byte", "end_byte", "line", "column")))
 
 
 def parse_machine(text: str) -> Report:
     """Inverse of render_machine: reads one line of machine output. Raises
-    KeyError for an unknown rule id, and ValueError for an unknown malady kind,
-    a severity or narrative other than the rule's or kind's own, or a bad config."""
+    KeyError for a missing key or an unknown rule id, and ValueError for any
+    other malformed line: a value of the wrong type, an unknown malady kind, a
+    severity or narrative other than the rule's or kind's own, or a bad config."""
     data = json.loads(text)
-    for d in data["diagnostics"]:
-        if d["severity"] != REGISTRY[d["rule_id"]].severity.value:
-            raise ValueError(f"{d['rule_id']} has severity {d['severity']!r}")
-    diagnostics = tuple(
-        Diagnostic(
-            d["rule_id"],
+    diagnostics = []
+    for d in _field(data, "diagnostics", list):
+        rule_id = _field(d, "rule_id", str)
+        if d["severity"] != REGISTRY[rule_id].severity.value:
+            raise ValueError(f"{rule_id} has severity {d['severity']!r}")
+        diagnostics.append(Diagnostic(
+            rule_id,
             _span_from(d),
-            d["measured"],
-            d["threshold"],
-            d["message"],
-            tuple(_span_from(e) for e in d["evidence"]),
-        )
-        for d in data["diagnostics"]
-    )
+            _field(d, "measured", int, float),
+            _field(d, "threshold", int, float),
+            _field(d, "message", str),
+            tuple(_span_from(e) for e in _field(d, "evidence", list)),
+        ))
     maladies = []
-    for m in data["maladies"]:
+    for m in _field(data, "maladies", list):
         finding = MaladyFinding(
-            MaladyKind(m["kind"]), m["strength"],
-            tuple(EvidenceRef(e["rule_id"], _span_from(e)) for e in m["evidence"]),
+            MaladyKind(_field(m, "kind", str)), _field(m, "strength", int),
+            tuple(EvidenceRef(_field(e, "rule_id", str), _span_from(e))
+                  for e in _field(m, "evidence", list)),
         )
         if m["narrative"] != finding.narrative:
             raise ValueError(f"{m['kind']} has narrative {m['narrative']!r}")
         maladies.append(finding)
+    config = _field(data, "config", dict)
+    for key, value in config.items():
+        if isinstance(value, bool):
+            raise ValueError(f"bad config: {key} is {value!r}")
     try:
-        config = AnalysisConfig(**data["config"])
+        config = AnalysisConfig(**config)
     except TypeError as exc:
         raise ValueError(f"bad config: {exc}") from None
-    return Report(data["document"], config, diagnostics, tuple(maladies))
+    return Report(_field(data, "document", str), config, tuple(diagnostics), tuple(maladies))

@@ -581,8 +581,9 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
     assert _store_arrays(store) == _store_arrays(reference)
     if doc is None:
         return
-    # The parse scans each paragraph, and each sentence is its share of the
-    # paragraph's tokens and words.
+    # The parse scans each run of body text once, and each sentence is its
+    # share of the run's tokens and words: scanning the sentences one at a
+    # time gives the same store.
     reference = _ReferenceStore(text)
     fold = _ReferenceFold(lexicon.stopwords)
     by_length = {}
@@ -617,6 +618,152 @@ def test_a_terminator_run_counts_from_the_start_of_the_range():
     assert count(". Alpha.") == 1
     assert count("Alpha! . Beta") == 1
     assert count("!. Alpha") == 2
+
+
+# The parse as a loop over the source's lines, as parse_document was before it
+# read body text in runs: a block of non-blank body lines is one paragraph,
+# scanned on its own. It is the reference that the parse is compared with.
+_REFERENCE_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S.*)$")
+_REFERENCE_DEF_RE = re.compile(r"^\[\^([^\[\]\s]+)\]:\s?(.*)$")
+_REFERENCE_MARKER_RE = re.compile(r"\[\^[^\[\]\s]+\]")
+
+
+def _reference_parse(source, fmt, *, lexicon):
+    store = document.TokenStore(source)
+    kind, starts, ends, word_token = store.kind, store.start, store.end, store.word_token
+    abbreviations = {}
+    for abbr in lexicon.abbreviations:
+        abbreviations.setdefault(len(abbr), set()).add(abbr)
+    sections = [("", 0, [])]
+    defs, markers = {}, []
+    block = []  # the [start, end) offsets of the pending block, if any
+
+    def flush_block():
+        if not block:
+            return
+        first_token, first_word = len(kind), len(word_token)
+        store.scan(block[0], block[1], lexicon.stopwords)
+        block.clear()
+        last_token, last_word = len(kind), len(word_token)
+        cuts = []
+        for k in range(first_token, last_token - 1):
+            if kind[k] != document.STOP_CODE:
+                continue
+            after = starts[k + 1]
+            if ends[k] < after and (source[after].isupper() or source[after].isdigit()):
+                lone = (k == first_token or kind[k - 1] != document.STOP_CODE
+                        or ends[k - 1] < starts[k])
+                if not (lone and source[starts[k]] == "."
+                        and document._ends_with_abbreviation(source, ends[k], abbreviations)):
+                    cuts.append(k + 1)
+        cuts.append(last_token)
+        sentences = []
+        for end_token in cuts:
+            end_word = first_word
+            while end_word < last_word and word_token[end_word] < end_token:
+                end_word += 1
+            words = end_word - first_word + sum(
+                kind[i] == document.NUMBER_CODE for i in range(first_token, end_token))
+            sentences.append(document.Sentence(words, store, first_token, end_token,
+                                               first_word, end_word))
+            first_token, first_word = end_token, end_word
+        sections[-1][2].append(document.Paragraph(tuple(sentences)))
+
+    offset = 0
+    for line in source.split("\n"):
+        line_start, line_end = offset, offset + len(line)
+        offset = line_end + 1
+        if not line.strip():
+            flush_block()
+            continue
+        if fmt == "markdown":
+            fm = _REFERENCE_DEF_RE.match(line)
+            if fm:
+                flush_block()
+                fid, body = fm.group(1), fm.group(2).rstrip()
+                if not body:
+                    raise DocumentStructureError(
+                        f"footnote definition [^{fid}] has an empty body", fid)
+                if fid in defs:
+                    raise DocumentStructureError(
+                        f"duplicate footnote definition [^{fid}]", fid, defs[fid])
+                body_start = line_start + fm.start(2)
+                defs[fid] = store.span(body_start, body_start + len(body))
+                continue
+            markers += [m.span() for m in
+                        _REFERENCE_MARKER_RE.finditer(source, line_start, line_end)]
+            hm = _REFERENCE_HEADING_RE.match(line)
+            if hm:
+                flush_block()
+                heading = re.sub(r"\s#+\s*$", "", hm.group(2)).strip()
+                sections.append((heading, len(hm.group(1)), []))
+                continue
+        if not block:
+            block[:] = [line_start, line_end]
+        block[1] = line_end
+    flush_block()
+    if len(sections) > 1 and not sections[0][2]:
+        del sections[0]
+
+    footnotes = {}
+    for start, end in markers:
+        fid = source[start + 2:end - 1]
+        if fid not in defs:
+            raise DocumentStructureError(
+                f"footnote marker [^{fid}] has no definition", fid, store.span(start, end))
+        footnotes.setdefault(fid, document.Footnote(fid, store.span(start, end), defs[fid]))
+    for fid in defs:
+        if fid not in footnotes:
+            raise DocumentStructureError(
+                f"footnote definition [^{fid}] has no marker in the text", fid, defs[fid])
+    return document.Document(
+        source, fmt,
+        tuple(document.Section(heading, level, tuple(paragraphs))
+              for heading, level, paragraphs in sections),
+        tuple(footnotes.values()),
+        sum(p.word_count for _, _, paragraphs in sections for p in paragraphs),
+        lexicon, store)
+
+
+def _parse_or_error(parse, text, fmt, lexicon):
+    """The parse's Document and store arrays, or its error's message, id
+    and span."""
+    try:
+        doc = parse(text, fmt, lexicon=lexicon)
+    except DocumentStructureError as exc:
+        return str(exc), exc.footnote_id, exc.span
+    return doc, _store_arrays(doc.store)
+
+
+# Layout that decides where paragraphs and sections lie: line ends, blank
+# lines of odd whitespace, "#" lines that are headings and lines that are not,
+# headings with markers, and definitions with odd or empty bodies or markers
+# in them.
+_LAYOUT_PIECES = st.sampled_from([
+    "Alpha.", "Beta", "the model grows", "Dr.", "42.", " ", "\t", ". ", "!",
+    "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028",
+    "\n\n", "\n \n", "\n\t\n", "\n\r\n", "\r\n\r\n", "\n\x0b\n", "\n\x1c\n", "\n\x85\n",
+    "\n\u2028\n", "\n \t\x0c\n",
+    "\n#\n", "\n#", "#\n", "\n#\t\r\n", "#x", "\n# ", "\n#x\n", "\n####### x\n", "\n## T ##\n", "\n# Head[^1] #\n",
+    "\n###\tHead[^2]\n", "# Head", "#\r",
+    "[^1]", "[^2]", "\n[^1]:", "\n[^1]:\r", "\n[^1]:\tbody", "\n[^1]: Note [^2] here.",
+    "\n[^2]: Two.\n", "\n[^1]:  spaced \n", "[^1]: Inline.",
+])
+_LAYOUT_TEXT = st.one_of(
+    _TEXT,
+    st.lists(st.one_of(_LAYOUT_PIECES, _LAYOUT_PIECES, st.text(max_size=4)), max_size=40)
+    .map("".join))
+
+
+@settings(deadline=None)
+@example("Alpha.\n \nBeta.", "plain", frozenset())
+@example("#\nText here.\n", "markdown", frozenset())
+@given(_LAYOUT_TEXT, st.sampled_from(FORMATS),
+       st.frozensets(st.sampled_from([".", "e.g.", "dr."])))
+def test_parse_matches_a_loop_over_the_lines(text, fmt, abbreviations):
+    lexicon = replace(default_lexicon(), abbreviations=abbreviations)
+    assert (_parse_or_error(parse_document, text, fmt, lexicon)
+            == _parse_or_error(_reference_parse, text, fmt, lexicon))
 
 
 # Passages that trip the rules, so that the detectors and maladies report

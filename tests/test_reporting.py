@@ -159,6 +159,31 @@ def test_machine_config_must_be_analysis_config(config):
         parse_machine(json.dumps(payload))
 
 
+# A line of each wrong shape: the whole line, or one value at the end of a path.
+@pytest.mark.parametrize("path, value", [
+    ((), []),
+    (("document",), 5),
+    (("diagnostics", 0, "start_byte"), "1"),
+    (("diagnostics", 0, "line"), True),
+    (("diagnostics", 0, "measured"), "thirty"),
+    (("diagnostics", 0, "evidence"), 5),
+    (("maladies", 0, "strength"), "many"),
+    (("config", "words_per_page"), True),
+])
+def test_machine_line_of_a_wrong_shape_raises_value_error(path, value):
+    payload = json.loads(render_machine(report_for(composite_text())))
+    if path:
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        payload = value
+    with pytest.raises(ValueError):
+        parse_machine(json.dumps(payload))
+
+
 def test_machine_round_trip_empty():
     report = report_for(FILLER, name="clean.txt", fmt=PLAIN)
     assert parse_machine(render_machine(report)) == report

@@ -13,7 +13,8 @@ BENCHMARK.json declares, the number of pairs in which this tree did better.
 The record also gives both git revisions, the Python version and the CPU
 count. Each call appends its record to the ``records`` list in --out. A run
 that exits non-zero, or is not ``correct``, or has failed operations, is
-recorded as it is and makes the tool exit 1.
+recorded as it is and makes the tool exit 1. Each run's work directory under
+``.perfbench-work`` is deleted once its result is read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +49,9 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False)
+    # run.py keeps its inputs and outputs in this directory until the same
+    # workload and seed run again; the result is in stdout.
+    shutil.rmtree(tree / ".perfbench-work" / f"{workload}-{seed}", ignore_errors=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"exit": done.returncode, "stderr": done.stderr[-2000:]}
