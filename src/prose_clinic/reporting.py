@@ -147,12 +147,12 @@ def parse_machine(text: str) -> Report:
         if m["narrative"] != finding.narrative:
             raise ValueError(f"{m['kind']} has narrative {m['narrative']!r}")
         maladies.append(finding)
-    config = _field(data, "config", dict)
-    for key, value in config.items():
+    values = _field(data, "config", dict)
+    for key, value in values.items():
         if isinstance(value, bool):
             raise ValueError(f"bad config: {key} is {value!r}")
     try:
-        config = AnalysisConfig(**config)
+        config = AnalysisConfig(**values)
     except TypeError as exc:
         raise ValueError(f"bad config: {exc}") from None
     return Report(_field(data, "document", str), config, tuple(diagnostics), tuple(maladies))

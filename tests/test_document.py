@@ -744,8 +744,8 @@ _LAYOUT_PIECES = st.sampled_from([
     "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028",
     "\n\n", "\n \n", "\n\t\n", "\n\r\n", "\r\n\r\n", "\n\x0b\n", "\n\x1c\n", "\n\x85\n",
     "\n\u2028\n", "\n \t\x0c\n",
-    "\n#\n", "\n#", "#\n", "\n#\t\r\n", "#x", "\n# ", "\n#x\n", "\n####### x\n", "\n## T ##\n", "\n# Head[^1] #\n",
-    "\n###\tHead[^2]\n", "# Head", "#\r",
+    "\n#\n", "\n#", "#\n", "\n#\t\r\n", "#x", "\n# ", "\n#x\n", "\n####### x\n",
+    "\n## T ##\n", "\n# Head[^1] #\n", "\n###\tHead[^2]\n", "#\u2028Head", "#\r",
     "[^1]", "[^2]", "\n[^1]:", "\n[^1]:\r", "\n[^1]:\tbody", "\n[^1]: Note [^2] here.",
     "\n[^2]: Two.\n", "\n[^1]:  spaced \n", "[^1]: Inline.",
 ])
@@ -764,6 +764,14 @@ def test_parse_matches_a_loop_over_the_lines(text, fmt, abbreviations):
     lexicon = replace(default_lexicon(), abbreviations=abbreviations)
     assert (_parse_or_error(parse_document, text, fmt, lexicon)
             == _parse_or_error(_reference_parse, text, fmt, lexicon))
+
+
+def test_a_plain_parse_is_one_scan():
+    with mock.patch.object(document.TokenStore, "scan", autospec=True,
+                           side_effect=document.TokenStore.scan) as scan:
+        doc = parse_document("One claim.\n\n# Two\n\nThree claims.\n", "plain")
+    assert scan.call_count == 1
+    assert len(list(doc.iter_paragraphs())) == 3
 
 
 # Passages that trip the rules, so that the detectors and maladies report
