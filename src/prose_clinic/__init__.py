@@ -5,40 +5,12 @@ __version__ = "0.1.0"
 
 from .config import AnalysisConfig, ConfigError, load_config, parse_config_text
 from .detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Rule, Severity, run_all
-from .document import (
-    Document,
-    DocumentStructureError,
-    Footnote,
-    Paragraph,
-    Section,
-    Sentence,
-    Span,
-    Token,
-    parse_document,
-    tokenize,
-)
-from .lexicon import (
-    Lexicon,
-    LexiconError,
-    default_lexicon,
-    load_lexicon_extensions,
-    stem,
-)
-from .maladies import (
-    EvidenceRef,
-    MaladyFinding,
-    MaladyKind,
-    extract_keywords,
-    infer_maladies,
-    section_relevance,
-)
-from .reporting import (
-    Report,
-    build_report,
-    parse_machine,
-    render_human,
-    render_machine,
-)
+from .document import (Document, DocumentStructureError, Footnote, Paragraph, Section, Sentence,
+                       Span, Token, parse_document, tokenize)
+from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon_extensions, stem
+from .maladies import (EvidenceRef, MaladyFinding, MaladyKind, extract_keywords, infer_maladies,
+                       section_relevance)
+from .reporting import Report, build_report, parse_machine, render_human, render_machine
 
 __all__ = [
     "__version__",

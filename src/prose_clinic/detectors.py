@@ -17,18 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import pairwise
 from typing import Callable
 
 from .config import AnalysisConfig
-from .document import (
-    COMMA_CODE,
-    NUMBER_CODE,
-    PUNCTUATION_CODE,
-    WORD_CODE,
-    Document,
-    Sentence,
-    Span,
-)
+from .document import (COMMA_CODE, NUMBER_CODE, PUNCTUATION_CODE, WORD_CODE, Document, Span,
+                       TokenStore)
 from .lexicon import Lexicon
 
 
@@ -51,11 +46,11 @@ class Diagnostic:
         return REGISTRY[self.rule_id].severity
 
 
-def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
-    """A connector among the first link_window_tokens words, or a
-    demonstrative anywhere in the sentence."""
-    words = sentence.store.word_lower
-    lo, hi = sentence.first_word, sentence.end_word
+def _signals_link(store: TokenStore, i: int, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
+    """A connector among the first link_window_tokens words of sentence i,
+    or a demonstrative anywhere in it."""
+    words = store.word_lower
+    lo, hi = store.sentence_word[i], store.sentence_word[i + 1]
     window = words[lo:min(hi, lo + cfg.link_window_tokens)]
     if not (lexicon.coordinating.isdisjoint(window)
             and lexicon.subordinating.isdisjoint(window)
@@ -64,10 +59,12 @@ def _signals_link(sentence: Sentence, cfg: AnalysisConfig, lexicon: Lexicon) -> 
     return not lexicon.demonstratives.isdisjoint(words[lo:hi])
 
 
-def _share_no_stem(prev: Sentence, cur: Sentence) -> bool:
-    stems = prev.store.word_stem  # None for a stopword, which is no shared term
-    return set(filter(None, stems[prev.first_word:prev.end_word])).isdisjoint(
-        stems[cur.first_word:cur.end_word])
+def _share_no_stem(store: TokenStore, prev: int, cur: int) -> bool:
+    """Sentences prev and cur share no content stem (a stopword's slot is
+    None, which is no shared term)."""
+    stems, bounds = store.word_stem, store.sentence_word
+    return set(filter(None, stems[bounds[prev]:bounds[prev + 1]])).isdisjoint(
+        stems[bounds[cur]:bounds[cur + 1]])
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:
@@ -81,12 +78,14 @@ def _document_span(doc: Document) -> Span:
 
 def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S101: sentence word count above max_sentence_words."""
+    store = doc.store
     out = []
-    for sentence in doc.iter_sentences():
-        n = sentence.word_count
-        if n > cfg.max_sentence_words:
+    for sentence, (first, end) in enumerate(pairwise(store.sentence_token)):
+        # A sentence has no more words than tokens.
+        if end - first > cfg.max_sentence_words and (
+                n := store.sentence_word_count(sentence)) > cfg.max_sentence_words:
             out.append(Diagnostic(
-                "S101", sentence.span, n, cfg.max_sentence_words,
+                "S101", store.sentence_span(sentence), n, cfg.max_sentence_words,
                 f"sentence has {n} words; the guideline is at most "
                 f"{cfg.max_sentence_words}",
             ))
@@ -100,8 +99,7 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     words = store.word_lower
     be_forms = lexicon.be_forms
     out = []
-    for sentence in doc.iter_sentences():
-        lo, hi = sentence.first_word, sentence.end_word
+    for sentence, (lo, hi) in enumerate(pairwise(store.sentence_word)):
         if be_forms.isdisjoint(words[lo:hi]):
             continue
         be = next(i for i in range(lo, hi) if words[i] in be_forms)
@@ -120,7 +118,7 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
         if gerund is not None:
             evidence.append(store.word_span(gerund, gerund + 3))
         out.append(Diagnostic(
-            "S102", sentence.span, signals, 2,
+            "S102", store.sentence_span(sentence), signals, 2,
             "a form of 'to be' plus noun-made actions hides the verb; "
             "let the action be the verb",
             tuple(evidence),
@@ -128,19 +126,19 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _comma_segments(sentence: Sentence) -> list[tuple[list[int], int, int]]:
-    """For each of the sentence's comma-separated segments, the indices of
+def _comma_segments(store: TokenStore, i: int) -> list[tuple[list[int], int, int]]:
+    """For each of sentence i's comma-separated segments, the indices of
     its countable tokens (words plus numbers, as in sentence word counts)
     and the range [lo, hi) of its WORD tokens in the store's word arrays.
     A sentence without a comma has one segment, and S103 needs two, so its
     segments are not built: the list is empty."""
-    kind = sentence.store.kind
-    pos, end = sentence.first_token, sentence.end_token
+    kind = store.kind
+    pos, end = store.sentence_token[i], store.sentence_token[i + 1]
     comma = kind.find(COMMA_CODE, pos, end)
     if comma < 0:
         return []
     segments = []
-    word = sentence.first_word
+    word = store.sentence_word[i]
     while pos <= end:
         stop = end if comma < 0 else comma
         words = kind.count(WORD_CODE, pos, stop)
@@ -169,8 +167,8 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     # rank, so it opens no lead.
     subordinators = lexicon.subordinating - lexicon.coordinating
     out = []
-    for sentence in doc.iter_sentences():
-        segments = _comma_segments(sentence)
+    for sentence in range(len(store.sentence_token) - 1):
+        segments = _comma_segments(store, sentence)
         span = None  # the sentence's span, built for its first finding
         if len(segments) >= 3:
             (prefix, lo, _), (insertion, _, _) = segments[:2]
@@ -180,7 +178,7 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
                          else store.token(prefix[0]).text) not in connectors
                     and len(insertion) >= cfg.min_insertion_words
                     and any(countable for countable, _, _ in segments[2:])):
-                span = sentence.span
+                span = store.sentence_span(sentence)
                 out.append(Diagnostic(
                     "S103", span,
                     len(insertion), cfg.min_insertion_words,
@@ -199,7 +197,7 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
                     break
             if leads and total >= cfg.max_delay_words:
                 out.append(Diagnostic(
-                    "S103", span or sentence.span,
+                    "S103", span or store.sentence_span(sentence),
                     total, cfg.max_delay_words,
                     f"subject-verb core delayed by {total} words of "
                     f"leading clauses",
@@ -208,34 +206,43 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
+def _breaks(store: TokenStore, groups, unlinked, rule_id: str, message: str) -> list[Diagnostic]:
+    """A diagnostic for each pair of adjacent sentences in a group of
+    sentence indices that unlinked(prev, cur) holds for, naming both."""
+    out = []
+    for group in groups:
+        span = None  # cur's span, when the pair before was a break
+        for prev, cur in pairwise(group):
+            prev_span, span = span, None
+            if unlinked(prev, cur):
+                span = store.sentence_span(cur)
+                out.append(Diagnostic(rule_id, span, 0, 1, message,
+                                      (prev_span or store.sentence_span(prev), span)))
+    return out
+
+
 def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S201: a sentence that neither opens with a connector, nor repeats a
     content stem of its predecessor, nor points back with a demonstrative.
     A bare pronoun does not count as a link."""
-    out = []
-    for paragraph in doc.iter_paragraphs():
-        span = None  # cur's span, when the pair before found it unlinked
-        for prev, cur in zip(paragraph.sentences, paragraph.sentences[1:]):
-            prev_span, span = span, None
-            if not _signals_link(cur, cfg, doc.lexicon) and _share_no_stem(prev, cur):
-                span = cur.span
-                out.append(Diagnostic(
-                    "S201", span, 0, 1,
-                    "no explicit link to the previous sentence (no leading "
-                    "connector, repeated key term, or demonstrative)",
-                    (prev_span or prev.span, span),
-                ))
-    return out
+    store = doc.store
+    return _breaks(
+        store, (range(first, end) for first, end in pairwise(store.paragraph_sentence)),
+        lambda prev, cur: (not _signals_link(store, cur, cfg, doc.lexicon)
+                           and _share_no_stem(store, prev, cur)),
+        "S201", "no explicit link to the previous sentence (no leading connector, "
+                "repeated key term, or demonstrative)")
 
 
 def detect_long_paragraph(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S301: paragraph with more sentences than the chunk norm."""
+    store = doc.store
     out = []
-    for paragraph in doc.iter_paragraphs():
-        n = len(paragraph.sentences)
+    for p, (first, end) in enumerate(pairwise(store.paragraph_sentence)):
+        n = end - first
         if n > cfg.max_paragraph_sentences:
             out.append(Diagnostic(
-                "S301", paragraph.span, n,
+                "S301", store.paragraph_span(p), n,
                 cfg.max_paragraph_sentences,
                 f"paragraph has {n} sentences; keep one point per paragraph "
                 f"(about {cfg.max_paragraph_sentences} sentences)",
@@ -249,18 +256,17 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
     the opening window)."""
     store = doc.store
     out = []
-    for paragraph in doc.iter_paragraphs():
-        if len(paragraph.sentences) < 4:
+    for first, end in pairwise(store.paragraph_sentence):
+        if end - first < 4:
             continue
-        first = paragraph.sentences[0]
-        numbers = [i for i in range(first.first_token, first.end_token)
+        numbers = [i for i in range(store.sentence_token[first], store.sentence_token[first + 1])
                    if store.kind[i] == NUMBER_CODE]
         if not numbers:
             continue
-        if _signals_link(first, cfg, doc.lexicon):
+        if _signals_link(store, first, cfg, doc.lexicon):
             continue
         out.append(Diagnostic(
-            "S302", first.span, len(numbers), 0,
+            "S302", store.sentence_span(first), len(numbers), 0,
             "paragraph opens on numeric detail; open with the point the "
             "numbers support",
             tuple([store.token_span(i) for i in numbers]),
@@ -271,21 +277,12 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
 def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S401: adjacent paragraphs in a section whose first sentences share no
     content stem; the storyline of openers breaks there."""
-    out = []
-    for section in doc.sections:
-        openers = [p.sentences[0] for p in section.paragraphs]
-        span = None  # cur's span, when the pair before was a break
-        for prev, cur in zip(openers, openers[1:]):
-            prev_span, span = span, None
-            if _share_no_stem(prev, cur):
-                span = cur.span
-                out.append(Diagnostic(
-                    "S401", span, 0, 1,
-                    "paragraph opener carries no key term over from the "
-                    "previous opener",
-                    (prev_span or prev.span, span),
-                ))
-    return out
+    store = doc.store
+    bounds = store.paragraph_sentence
+    # A paragraph's opener is its first sentence.
+    openers = ([bounds[p] for p in section.paragraph_range] for section in doc.sections)
+    return _breaks(store, openers, partial(_share_no_stem, store), "S401",
+                   "paragraph opener carries no key term over from the previous opener")
 
 
 def detect_overlong_document(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
@@ -359,8 +356,7 @@ def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagn
     if pages <= 0:
         return []
     hits: list[tuple[int, int]] = []  # word index ranges
-    for sentence in doc.iter_sentences():
-        lo, hi = sentence.first_word, sentence.end_word
+    for lo, hi in pairwise(store.sentence_word):
         forms = words[lo:hi]
         if superlatives.isdisjoint(forms) and "most" not in forms:
             continue

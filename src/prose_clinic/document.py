@@ -17,33 +17,20 @@ Conventions the rest of the package relies on:
 * footnote bodies are kept out of the body text, so they never feed the
   sentence and paragraph statistics.
 
-A token is an offset range into the source, not an object: one parse fills
-a single TokenStore of flat arrays, with each body token's start and end
-offsets and kind code, and three arrays aligned by word: each WORD token's
-token index, lowercase form and content stem (None for a stopword). The scan
-is batched: no Python code runs per token. One findall cuts the text into
-chunks (a token with the whitespace before it), one table (WordFold) maps
-each distinct chunk to its kind, length, lowercase form and stem, and
-C-level iterators turn those entries into the arrays. The parses share the
-table (up to _FOLD_LIMIT entries, for one stopword set), so each distinct
-word form is lowercased and stemmed once per table, not per parse; an entry
-depends only on the chunk, the stopwords and the pure stem, so a warm table
-gives what a fresh one gives. A long range is matched in pieces of bounded
-size, cut where a token ends, so its chunk strings are never all held at once.
-
-In markdown one regex (_STRUCTURE_RE) finds the headings and definitions;
-plain text has none. The parse scans each run of body text between two of
-them once. A gap between two of its tokens that holds a blank line is a
-paragraph break, and sentences are cut on the kind codes the scan wrote:
-". ! ?" have a code of their own (STOP_CODE), so the breaks are found with
-bytearray.find, and each sentence's word range by bisecting the store's word
-token indices at its end token. A Sentence holds its word count and index
-ranges into that store, and a Paragraph its sentences, so the store is the one
-record of where text lies.
-``.span``, ``Sentence.tokens``, ``.words`` and ``.stems`` are views built on
-each access, and only the Token views slice text out of the source; the
-parse builds a Span (with its line and column) only for footnotes, and the
-detectors only for what they report.
+One parse fills one TokenStore: flat arrays of the body tokens (a token is
+an offset range into the source and a kind code, not an object), of the
+words' lowercase forms and content stems, and of the sentence and paragraph
+bounds. TokenStore.scan runs no Python code per token: one findall cuts the
+text into chunks, and one fold table (WordFold), which the parses share,
+maps each distinct chunk to its kind, length, form and stem. In markdown
+one regex (_STRUCTURE_RE) finds the headings and definitions; plain text
+has none. The parse scans each run of body text between two of them once,
+cuts it into paragraphs at the blank lines and into sentences on the
+terminator kind code (STOP_CODE), and builds no object per sentence or
+paragraph: Section.paragraphs, Paragraph.sentences, the spans and
+Sentence.tokens, .words and .stems are views built on each access. The
+parse builds a Span only for footnotes, and the detectors, which read the
+store's arrays by index, only for what they report.
 """
 
 from __future__ import annotations
@@ -52,7 +39,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, pairwise
+from itertools import accumulate, compress, count, pairwise, repeat
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -137,8 +124,12 @@ _BLANK_LINE_RE = re.compile(r"\n[^\S\n]*\n")
 _CLOSING_HASHES_RE = re.compile(r"\s#+\s*$")
 
 # TokenStore.scan matches at most about this many characters at a time, so
-# that the chunk strings of one long run of body text are never all held at once.
-_PIECE = 32_768
+# that the chunk strings of one long run of body text are never all held at
+# once: they take ~30 bytes a character while they live, ~6 stay.
+_PIECE = 16_384
+# A source shorter than this has its offsets in 4-byte arrays ("i"), a longer
+# one in 8-byte arrays ("q"): "l" is 8 bytes on Linux but 4 on Windows.
+_OFFSET_LIMIT = 1 << 31
 # The fields of a WordFold entry.
 _CODE, _LENGTH, _FORM, _STEM = map(itemgetter, range(4))
 # bytes.translate table: 1 for the WORD kind code, 0 for every other code.
@@ -202,37 +193,44 @@ def _shared_fold(stopwords: frozenset[str]) -> WordFold:
     fold = _fold
     if len(fold) > _FOLD_LIMIT or (fold.stopwords is not stopwords and fold.stopwords != stopwords):
         fold = _fold = WordFold(stopwords)
+    # An equal set that is another object takes the table's, so that later
+    # scans with it pass the identity test and compare no sets.
+    fold.stopwords = stopwords
     return fold
 
 
 class TokenStore:
-    """Every token of one parse, in source order, in flat arrays.
+    """Every token of one parse, in source order, and the document's
+    structure, in flat per-document arrays (no per-sentence objects, which
+    once freed stay on CPython's free lists until a generation-2 collection).
 
-    Token i is ``source[start[i]:end[i]]`` of kind ``KINDS[kind[i]]``; no
-    token's text is kept as a string of its own. Word i (the i-th WORD
-    token) is token ``word_token[i]``, and ``word_lower[i]`` is its lowercase
-    form, one string shared by every occurrence of the form. ``word_stem[i]``
-    is its content stem, or None for a stopword. The arrays are
-    per document, not per sentence: thousands of small per-sentence tuples,
-    once freed, stay on CPython's tuple free lists until a generation-2
-    collection, which the parse does not trigger. scan appends a whole
-    range at a time, and a sentence is an index range into each array.
+    Token i is ``source[start[i]:end[i]]`` of kind ``KINDS[kind[i]]``. Word i
+    (the i-th WORD token) is token ``word_token[i]``; ``word_lower[i]`` is its
+    lowercase form, one string per form, and ``word_stem[i]`` its content
+    stem, or None for a stopword. Sentence i is tokens ``sentence_token[i]``
+    up to ``sentence_token[i + 1]`` and likewise words in ``sentence_word``;
+    paragraph p is sentences ``paragraph_sentence[p]`` up to ``[p + 1]``; each
+    of the three ends with a closing sentinel. Offsets take 4-byte ints below
+    _OFFSET_LIMIT code points of source, 8-byte ints otherwise.
     """
 
     __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_stem",
-                 "word_token")
+                 "word_token", "sentence_token", "sentence_word", "paragraph_sentence")
 
     def __init__(self, source: str):
         self.source = source
+        typecode = "i" if len(source) < _OFFSET_LIMIT else "q"
         # The offsets at which the source's lines start.
-        self.line_starts = [0]
-        self.line_starts += [m.end() for m in re.finditer("\n", source)]
-        self.start = array("l")
-        self.end = array("l")
+        self.line_starts = array(typecode, [0, *(m.end() for m in re.finditer("\n", source))])
+        self.start = array(typecode)
+        self.end = array(typecode)
         self.kind = bytearray()
         self.word_lower: list[str] = []
         self.word_stem: list[str | None] = []
-        self.word_token = array("l")
+        self.word_token = array(typecode)
+        self.sentence_token = array(typecode, [0])
+        self.sentence_word = array(typecode, [0])
+        self.paragraph_sentence = array(typecode, [0])
 
     def scan(self, start: int, end: int, stopwords: frozenset[str]) -> None:
         """Append the tokens of source[start:end], and for each WORD token
@@ -295,19 +293,38 @@ class TokenStore:
         last = i if j is None else j - 1
         return self.token_span(self.word_token[i], self.word_token[last] + 1)
 
+    def sentence_span(self, i: int, j: int | None = None) -> Span:
+        """The Span of sentences i through j - 1 (i alone by default)."""
+        return self.token_span(self.sentence_token[i],
+                               self.sentence_token[i + 1 if j is None else j])
+
+    def paragraph_span(self, p: int, q: int | None = None) -> Span:
+        """The Span of paragraphs p through q - 1 (p alone by default)."""
+        bounds = self.paragraph_sentence
+        return self.sentence_span(bounds[p], bounds[p + 1 if q is None else q])
+
+    def sentence_word_count(self, i: int) -> int:
+        """Sentence i's word count: its WORD plus its NUMBER tokens."""
+        tokens, words = self.sentence_token, self.sentence_word
+        return words[i + 1] - words[i] + self.kind.count(NUMBER_CODE, tokens[i], tokens[i + 1])
+
     def token(self, i: int) -> Token:
         start, end = self.start[i], self.end[i]
         return Token(self.source[start:end], KINDS[self.kind[i]], self.span(start, end))
 
+    def sentence(self, i: int) -> Sentence:
+        tokens, words = self.sentence_token, self.sentence_word
+        return Sentence(self.sentence_word_count(i), self, tokens[i], tokens[i + 1],
+                        words[i], words[i + 1])
+
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """A sentence: its word count (WORD plus NUMBER tokens) and the index
-    ranges [first, end) of its tokens and words, and so of its stem slots,
-    in the parse's TokenStore. Two sentences are equal when these are.
-
-    span, tokens, words and stems are views built on each access; code that
-    walks many sentences reads the store's arrays instead.
+    """A view of a sentence of the parse's TokenStore, built on access: its
+    word count (WORD plus NUMBER tokens) and the index ranges [first, end) of
+    its tokens and words (and stem slots). Two sentences are equal when these
+    are. span, tokens, words and stems are views too; code that walks many
+    sentences reads the store's arrays instead.
     """
 
     word_count: int
@@ -340,7 +357,7 @@ class Sentence:
 
 @dataclass(frozen=True, slots=True)
 class Paragraph:
-    """A paragraph: its sentences, one at least."""
+    """A view of a paragraph, built on access: its sentences, one at least."""
 
     sentences: tuple[Sentence, ...]
 
@@ -357,9 +374,19 @@ class Paragraph:
 
 @dataclass(frozen=True, slots=True)
 class Section:
+    """A heading and the indices of its paragraphs in the store's paragraph
+    arrays; paragraphs is a view built on each access."""
+
     heading_text: str
     level: int
-    paragraphs: tuple[Paragraph, ...]
+    paragraph_range: range
+    store: TokenStore = field(repr=False, compare=False)
+
+    @property
+    def paragraphs(self) -> tuple[Paragraph, ...]:
+        bounds, sentence = self.store.paragraph_sentence, self.store.sentence
+        return tuple(Paragraph(tuple(map(sentence, range(bounds[p], bounds[p + 1]))))
+                     for p in self.paragraph_range)
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,7 +406,7 @@ class Document:
     # The lexicon the document was parsed with; every analysis reads its word
     # classes from here, so that they agree with the stems and sentence splits.
     lexicon: Lexicon = field(repr=False)
-    # The flat token arrays the sentences index into (see TokenStore).
+    # The flat token and structure arrays (see TokenStore).
     store: TokenStore = field(repr=False, compare=False)
     words_per_page: int = DEFAULT_WORDS_PER_PAGE
 
@@ -427,12 +454,14 @@ def _ends_with_abbreviation(source: str, end: int, abbreviations: dict[int, set[
 
 
 def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[str],
-                abbreviations: dict[int, set[str]]) -> list[Paragraph]:
-    """Scan source[start:end], a run of body text, and cut its tokens into
-    paragraphs at the blank lines and each paragraph into sentences."""
+                abbreviations: dict[int, set[str]]) -> None:
+    """Scan source[start:end], a run of body text, cut its tokens into
+    paragraphs at the blank lines and each paragraph into sentences, and
+    append their bounds to the store's structure arrays."""
     source, starts, ends, kind, word_token = (store.source, store.start, store.end, store.kind,
                                               store.word_token)
-    first_token, first_word = len(kind), len(word_token)
+    sentence_token = store.sentence_token
+    first_token, first_word, first_sentence = len(kind), len(word_token), len(sentence_token)
     store.scan(start, end, stopwords)
     last_token, last_word = len(kind), len(word_token)
     # A paragraph starts at the run's first token and at each token after a
@@ -440,13 +469,11 @@ def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[st
     bounds = sorted({first_token, last_token, *(
         bisect_left(starts, m.end(), first_token, last_token)
         for m in _BLANK_LINE_RE.finditer(source, start, end))})
-    paragraphs = []
     for first_token, last_token in pairwise(bounds):
         # A sentence ends after a terminator token k followed by whitespace and
         # a capital or a digit, unless k is a lone "." (no terminator right before
         # it in the paragraph) that ends an abbreviation. k == first_token is
         # tested first: at k == 0, kind[k - 1] wraps to the last token.
-        cuts = []
         k = first_token - 1
         while (k := kind.find(STOP_CODE, k + 1, last_token - 1)) >= 0:
             after = starts[k + 1]
@@ -454,17 +481,13 @@ def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[st
                 lone = k == first_token or kind[k - 1] != STOP_CODE or ends[k - 1] < starts[k]
                 if not (lone and source[starts[k]] == "."
                         and _ends_with_abbreviation(source, ends[k], abbreviations)):
-                    cuts.append(k + 1)
-        cuts.append(last_token)
-        sentences = []
-        for end_token in cuts:
-            end_word = bisect_left(word_token, end_token, first_word, last_word)
-            word_count = end_word - first_word + kind.count(NUMBER_CODE, first_token, end_token)
-            sentences.append(Sentence(word_count, store, first_token, end_token,
-                                      first_word, end_word))
-            first_token, first_word = end_token, end_word
-        paragraphs.append(Paragraph(tuple(sentences)))
-    return paragraphs
+                    sentence_token.append(k + 1)
+        sentence_token.append(last_token)
+        store.paragraph_sentence.append(len(sentence_token) - 1)
+    # A sentence's words end at the first word at or after its end token.
+    store.sentence_word.fromlist(list(map(bisect_left, repeat(word_token),
+                                          sentence_token[first_sentence:],
+                                          repeat(first_word), repeat(last_word))))
 
 
 def parse_document(source: str, format: str = MARKDOWN, *,
@@ -486,9 +509,9 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
 
-    # (heading, level, paragraphs); the untitled section opens up front and
-    # is dropped at the end if a heading followed it and it stayed empty.
-    sections: list[tuple[str, int, list[Paragraph]]] = [("", 0, [])]
+    # (heading, level, first paragraph); the untitled section opens up front
+    # and is dropped at the end if a heading followed it and it stayed empty.
+    sections: list[tuple[str, int, int]] = [("", 0, 0)]
     defs: dict[str, Span] = {}
     # Offset ranges of the footnote markers, in source order.
     markers: list[tuple[int, int]] = []
@@ -496,14 +519,15 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     pos = 0
     if format == MARKDOWN:
         for line in _STRUCTURE_RE.finditer(source):
-            sections[-1][2].extend(_paragraphs(store, pos, line.start(), stopwords, abbreviations))
+            _paragraphs(store, pos, line.start(), stopwords, abbreviations)
             hashes, heading, fid, body = line.groups()
             # Markers count in the body text and in headings, not in definitions.
             marked_end = line.end() if hashes else line.start()
             markers += [m.span() for m in _MARKER_RE.finditer(source, pos, marked_end)]
             pos = line.end()
             if hashes:
-                sections.append((_CLOSING_HASHES_RE.sub("", heading).strip(), len(hashes), []))
+                sections.append((_CLOSING_HASHES_RE.sub("", heading).strip(), len(hashes),
+                                 len(store.paragraph_sentence) - 1))
                 continue
             body = body.rstrip()
             if not body:
@@ -514,11 +538,12 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                     f"duplicate footnote definition [^{fid}]", fid, defs[fid])
             defs[fid] = store.span(line.start(4), line.start(4) + len(body))
         markers += [m.span() for m in _MARKER_RE.finditer(source, pos)]
-    sections[-1][2].extend(_paragraphs(store, pos, len(source), stopwords, abbreviations))
-    if len(sections) > 1 and not sections[0][2]:
+    _paragraphs(store, pos, len(source), stopwords, abbreviations)
+    if len(sections) > 1 and sections[1][2] == 0:
         del sections[0]
-    built_sections = tuple(
-        Section(heading, level, tuple(paragraphs)) for heading, level, paragraphs in sections)
+    firsts = [first for _, _, first in sections] + [len(store.paragraph_sentence) - 1]
+    built_sections = tuple(Section(heading, level, range(first, end), store)
+                           for (heading, level, _), (first, end) in zip(sections, pairwise(firsts)))
 
     footnotes: dict[str, Footnote] = {}  # by id, in first-marker order
     for start, end in markers:
@@ -533,15 +558,8 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             raise DocumentStructureError(
                 f"footnote definition [^{fid}] has no marker in the text", fid, defs[fid])
 
-    return Document(
-        source=source,
-        format=format,
-        sections=built_sections,
-        footnotes=tuple(footnotes.values()),
-        # The store holds the tokens of the sentences and of nothing else.
-        total_words=len(store.word_token) + store.kind.count(NUMBER_CODE),
-        lexicon=lexicon,
-        store=store,
-        words_per_page=words_per_page,
-    )
+    # The store holds the tokens of the sentences and of nothing else.
+    total_words = len(store.word_token) + store.kind.count(NUMBER_CODE)
+    return Document(source, format, built_sections, tuple(footnotes.values()), total_words,
+                    lexicon, store, words_per_page)
 

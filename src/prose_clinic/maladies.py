@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .document import Document, Section, Span, scan_text
+from .document import Document, Section, Span, TokenStore, scan_text
 
 # Pseudo rule id for evidence that points at a section, not a diagnostic.
 RELEVANCE_EVIDENCE = "RELEVANCE"
@@ -76,14 +76,18 @@ _NARRATIVES = {
 }
 
 
+def _stems(store: TokenStore, paragraphs: range) -> filter:
+    """The content stems of a range of paragraphs, in order and with repeats."""
+    bounds, words = store.paragraph_sentence, store.sentence_word
+    lo, hi = words[bounds[paragraphs.start]], words[bounds[paragraphs.stop]]
+    return filter(None, store.word_stem[lo:hi])
+
+
 def section_relevance(section: Section, keywords: tuple[str, ...]) -> int:
     """How many of the keywords the section's first paragraph repeats."""
     if not keywords:
         return 0
-    stems: set[str] = set()
-    if section.paragraphs:
-        for sentence in section.paragraphs[0].sentences:
-            stems.update(sentence.stems)
+    stems = set(_stems(section.store, section.paragraph_range[:1]))
     return sum(1 for keyword in keywords if keyword in stems)
 
 
@@ -95,9 +99,7 @@ def extract_keywords(doc: Document, cfg: AnalysisConfig) -> tuple[str, ...]:
     if doc.sections:
         opening = doc.sections[0]
         counts.update(filter(None, scan_text(opening.heading_text, doc.lexicon).word_stem))
-        for paragraph in opening.paragraphs[:2]:
-            for sentence in paragraph.sentences:
-                counts.update(sentence.stems)
+        counts.update(_stems(doc.store, opening.paragraph_range[:2]))
     ranked = sorted(counts, key=lambda s: (-counts[s], s))
     return tuple(ranked[: cfg.keyword_count])
 
@@ -114,18 +116,15 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
 
     # FaultyRAP: growth symptoms of several distinct kinds. Storyline breaks
     # count only inside the first section, where the message is set up.
-    first_range = None
-    if doc.sections and doc.sections[0].paragraphs:
-        opening = doc.sections[0].paragraphs
-        first_range = (opening[0].span.start_byte, opening[-1].span.end_byte)
+    opening = None  # the first section's span
+    if doc.sections and (first := doc.sections[0].paragraph_range):
+        opening = doc.store.paragraph_span(first.start, first.stop)
     growth = []
     for diag in diagnostics:
-        if diag.rule_id in _GROWTH_RULES:
+        if diag.rule_id in _GROWTH_RULES or (
+                diag.rule_id == "S401" and opening
+                and opening.start_byte <= diag.span.start_byte < opening.end_byte):
             growth.append(diag)
-        elif diag.rule_id == "S401" and first_range is not None:
-            lo, hi = first_range
-            if lo <= diag.span.start_byte < hi:
-                growth.append(diag)
     kinds = {d.rule_id for d in growth}
     if len(kinds) >= cfg.malady_min_rule_kinds:
         findings.append(MaladyFinding(
@@ -136,14 +135,14 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
     # PoorChunking: chunk symptoms in three or more distinct paragraphs.
     chunk = [d for d in diagnostics if d.rule_id in _CHUNK_RULES]
     touched = set()
-    if chunk:  # a paragraph's span is built on access: build none for nothing
-        spans = [p.span for p in doc.iter_paragraphs()]
-        starts = [span.start_byte for span in spans]
-        for diag in chunk:
-            start = diag.span.start_byte
-            i = bisect_right(starts, start) - 1
-            if i >= 0 and start < spans[i].end_byte:
-                touched.add(i)
+    # A paragraph starts where its first sentence's first token does.
+    store = doc.store
+    starts = [store.start[store.sentence_token[s]] for s in store.paragraph_sentence[:-1]]
+    for diag in chunk:
+        start = diag.span.start_byte
+        i = bisect_right(starts, start) - 1
+        if i >= 0 and start < store.paragraph_span(i).end_byte:
+            touched.add(i)
     if len(touched) >= 3:
         findings.append(MaladyFinding(
             MaladyKind.POOR_CHUNKING, len(touched),
@@ -155,14 +154,15 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
     if keywords:
         candidates = [
             section for section in doc.sections
-            if section.paragraphs
+            if section.paragraph_range
             and section_relevance(section, keywords) < cfg.min_keyword_overlap
         ]
         if candidates:
             findings.append(MaladyFinding(
                 MaladyKind.MISSING_RAP_RELEVANCE, len(candidates),
                 tuple(
-                    EvidenceRef(RELEVANCE_EVIDENCE, sec.paragraphs[0].span)
+                    EvidenceRef(RELEVANCE_EVIDENCE,
+                                doc.store.paragraph_span(sec.paragraph_range[0]))
                     for sec in candidates
                 ),
             ))

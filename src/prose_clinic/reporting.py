@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .config import AnalysisConfig
+from .config import INT_FIELDS, AnalysisConfig
 from .detectors import REGISTRY, Diagnostic
 from .document import Span
 from .maladies import EvidenceRef, MaladyFinding, MaladyKind
@@ -149,7 +149,11 @@ def parse_machine(text: str) -> Report:
         maladies.append(finding)
     values = _field(data, "config", dict)
     for key, value in values.items():
-        if isinstance(value, bool):
+        # What render_machine writes: an int for an int field, a number for
+        # the others, and null only for max_pages. A bool is no number.
+        number = int if key in INT_FIELDS else (int, float)
+        if not (value is None and key == "max_pages") and (
+                isinstance(value, bool) or not isinstance(value, number)):
             raise ValueError(f"bad config: {key} is {value!r}")
     try:
         config = AnalysisConfig(**values)

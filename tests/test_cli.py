@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prose_clinic import document
 from prose_clinic.cli import run
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.document import FORMATS
@@ -352,6 +354,30 @@ def test_output_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     run(["analyze", path])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("output", ["human", "machine"])
+def test_analysis_builds_no_sentence_or_paragraph(tmp_path, capsys, output):
+    # The parse writes the sentence and paragraph bounds into the store's
+    # arrays, and the detectors and maladies read them by index: a Sentence
+    # or a Paragraph is built only for a caller that asks for one.
+    text = "\n\n".join(["# Opening", TOPICS_ORIGINAL, STROSIS_UNLINKED, "## Methods",
+                        LORIMETER_ORIGINAL, SUPERLATIVE_PASSAGE, "## Results", TRAIL_ORIGINAL,
+                        paragraphs([FILLER] * 21, per_paragraph=7)])
+    path = write(tmp_path, "sections.md", text + "\n")
+    with mock.patch.object(document, "Sentence", wraps=document.Sentence) as sentence, \
+            mock.patch.object(document, "Paragraph", wraps=document.Paragraph) as paragraph:
+        assert run(["analyze", "--output", output, path]) == 1
+        assert (sentence.call_count, paragraph.call_count) == (0, 0)
+        doc = document.parse_document(text)
+        assert len(doc.sections) == 3
+        assert sentence.call_count == paragraph.call_count == 0
+        views = list(doc.iter_paragraphs())
+        assert paragraph.call_count == len(views)
+        assert sentence.call_count == sum(len(p.sentences) for p in views)
+    report = capsys.readouterr().out
+    for name in ("S101", "S201", "S301", "S401", "S702", "MissingRapRelevance", "PoorChunking"):
+        assert name in report
 
 
 def test_bad_flag_value_exits_two(tmp_path):

@@ -486,6 +486,7 @@ class _ReferenceStore:
         self.source = source
         self.start, self.end, self.kind = [], [], []
         self.word_lower, self.word_stem, self.word_token = [], [], []
+        self.sentence_token, self.sentence_word, self.paragraph_sentence = [0], [0], [0]
 
     def scan(self, start, end, fold):
         """Append the tokens of source[start:end]; returns the number of
@@ -547,7 +548,8 @@ def _reference_sentence_bounds(source, start, end, abbreviations):
 
 def _store_arrays(store):
     return {name: list(getattr(store, name))
-            for name in ("start", "end", "kind", "word_lower", "word_stem", "word_token")}
+            for name in ("start", "end", "kind", "word_lower", "word_stem", "word_token",
+                         "sentence_token", "sentence_word", "paragraph_sentence")}
 
 
 # Text that stresses the scan: whitespace that is not ASCII (vertical tab,
@@ -599,6 +601,9 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
             total += words
             expected.append((words, first[0], len(reference.kind), first[1],
                              len(reference.word_lower)))
+            reference.sentence_token.append(len(reference.kind))
+            reference.sentence_word.append(len(reference.word_lower))
+        reference.paragraph_sentence.append(len(reference.sentence_token) - 1)
     assert [(s.word_count, s.first_token, s.end_token, s.first_word, s.end_word)
             for s in doc.iter_sentences()] == expected
     assert _store_arrays(doc.store) == _store_arrays(reference)
@@ -634,11 +639,13 @@ def _reference_parse(source, fmt, *, lexicon):
     abbreviations = {}
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
-    sections = [("", 0, [])]
+    sections = [("", 0, 0)]  # (heading, level, first paragraph)
     defs, markers = {}, []
     block = []  # the [start, end) offsets of the pending block, if any
+    total = 0  # the words of the sentences
 
     def flush_block():
+        nonlocal total
         if not block:
             return
         first_token, first_word = len(kind), len(word_token)
@@ -657,17 +664,16 @@ def _reference_parse(source, fmt, *, lexicon):
                         and document._ends_with_abbreviation(source, ends[k], abbreviations)):
                     cuts.append(k + 1)
         cuts.append(last_token)
-        sentences = []
         for end_token in cuts:
             end_word = first_word
             while end_word < last_word and word_token[end_word] < end_token:
                 end_word += 1
-            words = end_word - first_word + sum(
+            total += end_word - first_word + sum(
                 kind[i] == document.NUMBER_CODE for i in range(first_token, end_token))
-            sentences.append(document.Sentence(words, store, first_token, end_token,
-                                               first_word, end_word))
+            store.sentence_token.append(end_token)
+            store.sentence_word.append(end_word)
             first_token, first_word = end_token, end_word
-        sections[-1][2].append(document.Paragraph(tuple(sentences)))
+        store.paragraph_sentence.append(len(store.sentence_token) - 1)
 
     offset = 0
     for line in source.split("\n"):
@@ -696,14 +702,15 @@ def _reference_parse(source, fmt, *, lexicon):
             if hm:
                 flush_block()
                 heading = re.sub(r"\s#+\s*$", "", hm.group(2)).strip()
-                sections.append((heading, len(hm.group(1)), []))
+                sections.append((heading, len(hm.group(1)), len(store.paragraph_sentence) - 1))
                 continue
         if not block:
             block[:] = [line_start, line_end]
         block[1] = line_end
     flush_block()
-    if len(sections) > 1 and not sections[0][2]:
+    if len(sections) > 1 and sections[1][2] == 0:
         del sections[0]
+    ends = [first for _, _, first in sections[1:]] + [len(store.paragraph_sentence) - 1]
 
     footnotes = {}
     for start, end in markers:
@@ -718,11 +725,9 @@ def _reference_parse(source, fmt, *, lexicon):
                 f"footnote definition [^{fid}] has no marker in the text", fid, defs[fid])
     return document.Document(
         source, fmt,
-        tuple(document.Section(heading, level, tuple(paragraphs))
-              for heading, level, paragraphs in sections),
-        tuple(footnotes.values()),
-        sum(p.word_count for _, _, paragraphs in sections for p in paragraphs),
-        lexicon, store)
+        tuple(document.Section(heading, level, range(first, end), store)
+              for (heading, level, first), end in zip(sections, ends)),
+        tuple(footnotes.values()), total, lexicon, store)
 
 
 def _parse_or_error(parse, text, fmt, lexicon):
@@ -764,6 +769,32 @@ def test_parse_matches_a_loop_over_the_lines(text, fmt, abbreviations):
     lexicon = replace(default_lexicon(), abbreviations=abbreviations)
     assert (_parse_or_error(parse_document, text, fmt, lexicon)
             == _parse_or_error(_reference_parse, text, fmt, lexicon))
+
+
+def _analysis(doc):
+    cfg = AnalysisConfig()
+    diagnostics = run_all(doc, cfg)
+    return diagnostics, infer_maladies(doc, diagnostics, cfg)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_parse_with_8_byte_offsets_equals_one_with_4_byte_offsets(fmt, monkeypatch):
+    # A source of 2**31 code points or more takes 8-byte arrays; the limit is
+    # patched so that a short source takes them.
+    text = "# Opening\n\n" + "\n\n".join(_RULE_PASSAGES) + "\n\n## Close\n\nİs it done?\n"
+    compact = parse_document(text, fmt)
+    monkeypatch.setattr(document, "_OFFSET_LIMIT", 1)
+    wide = parse_document(text, fmt)
+    arrays = ("line_starts", "start", "end", "word_token", "sentence_token", "sentence_word",
+              "paragraph_sentence")
+    assert {getattr(compact.store, name).typecode for name in arrays} == {"i"}
+    assert {getattr(wide.store, name).typecode for name in arrays} == {"q"}
+    assert _store_arrays(wide.store) == _store_arrays(compact.store)
+    assert list(wide.store.line_starts) == list(compact.store.line_starts)
+    assert wide == compact
+    assert list(wide.iter_sentences()) == list(compact.iter_sentences())
+    assert _analysis(wide) == _analysis(compact)
+    assert _analysis(compact)[0] and _analysis(compact)[1]
 
 
 def test_a_plain_parse_is_one_scan():
@@ -1033,8 +1064,10 @@ def test_malady_evidence_names_a_diagnosed_rule(text, fmt, cfg):
 
 
 def test_parse_holds_few_tracked_objects_per_sentence():
-    # Tokens live in flat per-document arrays, so the objects the cyclic GC
-    # tracks grow with sentences and paragraphs, not with tokens.
+    # Tokens and the sentence and paragraph bounds live in flat per-document
+    # arrays, so the parse builds no tracked object per token, sentence or
+    # paragraph: what it holds is the document, its sections and the fold
+    # table's new entries.
     text = "\n\n".join(_RULE_PASSAGES * 150)
     assert len(text) > 250_000
     gc.collect()
@@ -1046,13 +1079,13 @@ def test_parse_holds_few_tracked_objects_per_sentence():
     finally:
         gc.enable()
     sentences = sum(1 for _ in doc.iter_sentences())
-    assert held / sentences < 3
+    assert held / sentences < 0.5
 
 
 def test_parse_retains_few_bytes_per_source_character():
     # A token is an offset range into the source, so the parse keeps no copy
-    # of any token's text: what it retains is a few arrays, the shared
-    # lowercase forms and stems, and the sentence records.
+    # of any token's text: what it retains is a few arrays of 4-byte offsets
+    # and bounds, and the word arrays of shared lowercase forms and stems.
     text = "\n\n".join(_RULE_PASSAGES * 150)
     gc.collect()
     tracemalloc.start()
@@ -1063,7 +1096,7 @@ def test_parse_retains_few_bytes_per_source_character():
     finally:
         tracemalloc.stop()
     assert doc.total_words > 40_000
-    assert retained / len(text) < 13.5
+    assert retained / len(text) < 7
 
 
 def test_one_long_paragraph_parses_in_bounded_memory():
@@ -1166,7 +1199,7 @@ def test_a_scan_with_other_stopwords_replaces_the_fold_table():
     # One slot: the table folds with the stopwords of the last scan, and a
     # scan with an equal set keeps it.
     other = replace(default_lexicon(), stopwords=default_lexicon().stopwords | {"model"})
-    equal = replace(default_lexicon(), stopwords=frozenset(default_lexicon().stopwords))
+    equal = replace(default_lexicon(), stopwords=frozenset(list(default_lexicon().stopwords)))
     with _fresh_fold():
         assert scan_text("The model", default_lexicon()).word_stem == [None, "model"]
         table = document._fold
@@ -1175,6 +1208,21 @@ def test_a_scan_with_other_stopwords_replaces_the_fold_table():
         assert scan_text("The model", other).word_stem == [None, None]
         assert document._fold is not table
         assert document._fold.stopwords == other.stopwords
+
+
+def test_a_scan_with_an_equal_stopword_set_keeps_the_table_and_takes_the_set():
+    # The table takes the equal set, so that the scans after it pass the
+    # identity test and do not compare the sets again.
+    # frozenset of a frozenset is the same object; of a list it is a copy.
+    equal = replace(default_lexicon(), stopwords=frozenset(list(default_lexicon().stopwords)))
+    assert equal.stopwords is not default_lexicon().stopwords
+    with _fresh_fold():
+        parse_document("The model grows.", "plain")
+        table = document._fold
+        doc = parse_document("The model grows.", "plain", lexicon=equal)
+        assert document._fold is table
+        assert document._fold.stopwords is equal.stopwords
+    assert doc.store.word_stem == [None, "model", "grow"]
 
 
 def test_threads_that_replace_the_fold_table_parse_as_a_fresh_table_does(monkeypatch):
