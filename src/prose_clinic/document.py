@@ -22,7 +22,9 @@ an offset range into the source and a kind code, not an object), of the
 words' lowercase forms and content stems, and of the sentence and paragraph
 bounds. TokenStore.scan runs no Python code per token: one findall cuts the
 text into chunks, and one fold table (WordFold), which the parses share,
-maps each distinct chunk to its kind, length, form and stem. In markdown
+maps each distinct chunk to its kind, length, form and stem; an entry
+depends only on the chunk, the stopwords and the pure stem, so a warm table
+gives what a fresh one gives. In markdown
 one regex (_STRUCTURE_RE) finds the headings and definitions; plain text
 has none. The parse scans each run of body text between two of them once,
 cuts it into paragraphs at the blank lines and into sentences on the
@@ -193,8 +195,8 @@ def _shared_fold(stopwords: frozenset[str]) -> WordFold:
     fold = _fold
     if len(fold) > _FOLD_LIMIT or (fold.stopwords is not stopwords and fold.stopwords != stopwords):
         fold = _fold = WordFold(stopwords)
-    # An equal set that is another object takes the table's, so that later
-    # scans with it pass the identity test and compare no sets.
+    # A set equal to the table's but another object replaces it on the table,
+    # so that later scans with that set pass the identity test.
     fold.stopwords = stopwords
     return fold
 

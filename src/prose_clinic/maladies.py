@@ -135,14 +135,15 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
     # PoorChunking: chunk symptoms in three or more distinct paragraphs.
     chunk = [d for d in diagnostics if d.rule_id in _CHUNK_RULES]
     touched = set()
-    # A paragraph starts where its first sentence's first token does.
-    store = doc.store
-    starts = [store.start[store.sentence_token[s]] for s in store.paragraph_sentence[:-1]]
-    for diag in chunk:
-        start = diag.span.start_byte
-        i = bisect_right(starts, start) - 1
-        if i >= 0 and start < store.paragraph_span(i).end_byte:
-            touched.add(i)
+    if chunk:  # the paragraph starts cost a pass over the paragraphs
+        # A paragraph starts where its first sentence's first token does.
+        store = doc.store
+        starts = [store.start[store.sentence_token[s]] for s in store.paragraph_sentence[:-1]]
+        for diag in chunk:
+            start = diag.span.start_byte
+            i = bisect_right(starts, start) - 1
+            if i >= 0 and start < store.paragraph_span(i).end_byte:
+                touched.add(i)
     if len(touched) >= 3:
         findings.append(MaladyFinding(
             MaladyKind.POOR_CHUNKING, len(touched),
