@@ -8,6 +8,10 @@ tested in the lowercase forms the scan folded them to (store.word_lower),
 against the lexicon's sets, and sentences are compared on the content stems
 of their word ranges (store.word_stem, None for a stopword); no rule reads
 or lowercases a word's raw text.
+S201 and S401 hand adjacent (prev, cur) sentence pairs to one loop, _breaks,
+which reports each pair that shares no content stem: S201 the pairs in a
+paragraph whose cur shows no link (_signals_link, which S302 also tests), and
+S401 the adjacent paragraph openers in a section.
 REGISTRY at the end of the module holds one Rule record per rule; the rule
 table, the severities and the treatment pointers are all read from it.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import pairwise
 from typing import Callable
 
@@ -46,25 +49,14 @@ class Diagnostic:
         return REGISTRY[self.rule_id].severity
 
 
-def _signals_link(store: TokenStore, i: int, cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
-    """A connector among the first link_window_tokens words of sentence i,
-    or a demonstrative anywhere in it."""
-    words = store.word_lower
-    lo, hi = store.sentence_word[i], store.sentence_word[i + 1]
-    window = words[lo:min(hi, lo + cfg.link_window_tokens)]
-    if not (lexicon.coordinating.isdisjoint(window)
-            and lexicon.subordinating.isdisjoint(window)
-            and lexicon.conjunctive_adverbs.isdisjoint(window)):
-        return True
-    return not lexicon.demonstratives.isdisjoint(words[lo:hi])
-
-
-def _share_no_stem(store: TokenStore, prev: int, cur: int) -> bool:
-    """Sentences prev and cur share no content stem (a stopword's slot is
-    None, which is no shared term)."""
-    stems, bounds = store.word_stem, store.sentence_word
-    return set(filter(None, stems[bounds[prev]:bounds[prev + 1]])).isdisjoint(
-        stems[bounds[cur]:bounds[cur + 1]])
+def _signals_link(words: list[str], cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
+    """A connector among the first link_window_tokens of a sentence's
+    lowercase words, or a demonstrative anywhere among them."""
+    window = words[:cfg.link_window_tokens]
+    return not (lexicon.coordinating.isdisjoint(window)
+                and lexicon.subordinating.isdisjoint(window)
+                and lexicon.conjunctive_adverbs.isdisjoint(window)
+                and lexicon.demonstratives.isdisjoint(words))
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:
@@ -94,7 +86,8 @@ def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]
 
 def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S102: a be-form carrying nominalizations, or a "the <gerund> of"
-    construction, instead of a strong verb."""
+    construction, instead of a strong verb. The gerund is an -ing word of at
+    least five letters."""
     lexicon, store = doc.lexicon, doc.store
     words = store.word_lower
     be_forms = lexicon.be_forms
@@ -159,7 +152,9 @@ def _qualifies_as_lead(words: list[str], lo: int, hi: int, subordinators) -> boo
 
 def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S103: the subject-verb core is interrupted by a long comma insertion,
-    or delayed past max_delay_words of leading clauses."""
+    or delayed past max_delay_words of leading clauses. A leading clause is
+    a comma segment with a subordinator or an -ing word of at least five
+    letters among its first two words."""
     lexicon, store = doc.lexicon, doc.store
     words = store.word_lower
     connectors = lexicon.coordinating | lexicon.subordinating | lexicon.conjunctive_adverbs
@@ -175,7 +170,8 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
             # A number has no case to fold, so it is tested as it stands.
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
                     and (words[lo] if store.kind[prefix[0]] == WORD_CODE
-                         else store.token(prefix[0]).text) not in connectors
+                         else store.source[store.start[prefix[0]]:store.end[prefix[0]]])
+                    not in connectors
                     and len(insertion) >= cfg.min_insertion_words
                     and any(countable for countable, _, _ in segments[2:])):
                 span = store.sentence_span(sentence)
@@ -206,18 +202,20 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _breaks(store: TokenStore, groups, unlinked, rule_id: str, message: str) -> list[Diagnostic]:
-    """A diagnostic for each pair of adjacent sentences in a group of
-    sentence indices that unlinked(prev, cur) holds for, naming both."""
+def _breaks(store: TokenStore, rule_id: str, message: str, pairs) -> list[Diagnostic]:
+    """A diagnostic for each (prev, cur) pair of sentence indices whose
+    sentences share no content stem (a stopword's slot is None, which is no
+    shared term), naming both. A reported cur that is the next pair's prev
+    lends it its span."""
+    stems, bounds = store.word_stem, store.sentence_word
     out = []
-    for group in groups:
-        span = None  # cur's span, when the pair before was a break
-        for prev, cur in pairwise(group):
-            prev_span, span = span, None
-            if unlinked(prev, cur):
-                span = store.sentence_span(cur)
-                out.append(Diagnostic(rule_id, span, 0, 1, message,
-                                      (prev_span or store.sentence_span(prev), span)))
+    last, span = -1, None  # the last reported cur and its span
+    for prev, cur in pairs:
+        if set(filter(None, stems[bounds[prev]:bounds[prev + 1]])).isdisjoint(
+                stems[bounds[cur]:bounds[cur + 1]]):
+            evidence = span if prev == last else store.sentence_span(prev)
+            last, span = cur, store.sentence_span(cur)
+            out.append(Diagnostic(rule_id, span, 0, 1, message, (evidence, span)))
     return out
 
 
@@ -226,12 +224,12 @@ def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     content stem of its predecessor, nor points back with a demonstrative.
     A bare pronoun does not count as a link."""
     store = doc.store
-    return _breaks(
-        store, (range(first, end) for first, end in pairwise(store.paragraph_sentence)),
-        lambda prev, cur: (not _signals_link(store, cur, cfg, doc.lexicon)
-                           and _share_no_stem(store, prev, cur)),
-        "S201", "no explicit link to the previous sentence (no leading connector, "
-                "repeated key term, or demonstrative)")
+    words, bounds = store.word_lower, store.sentence_word
+    pairs = ((cur - 1, cur) for first, end in pairwise(store.paragraph_sentence)
+             for cur in range(first + 1, end)
+             if not _signals_link(words[bounds[cur]:bounds[cur + 1]], cfg, doc.lexicon))
+    return _breaks(store, "S201", "no explicit link to the previous sentence (no leading "
+                   "connector, repeated key term, or demonstrative)", pairs)
 
 
 def detect_long_paragraph(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
@@ -255,6 +253,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
     with numbers and never signals a point (no demonstrative, no connector in
     the opening window)."""
     store = doc.store
+    words, bounds = store.word_lower, store.sentence_word
     out = []
     for first, end in pairwise(store.paragraph_sentence):
         if end - first < 4:
@@ -263,7 +262,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
                    if store.kind[i] == NUMBER_CODE]
         if not numbers:
             continue
-        if _signals_link(store, first, cfg, doc.lexicon):
+        if _signals_link(words[bounds[first]:bounds[first + 1]], cfg, doc.lexicon):
             continue
         out.append(Diagnostic(
             "S302", store.sentence_span(first), len(numbers), 0,
@@ -277,12 +276,12 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
 def detect_storyline_break(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S401: adjacent paragraphs in a section whose first sentences share no
     content stem; the storyline of openers breaks there."""
-    store = doc.store
-    bounds = store.paragraph_sentence
+    bounds = doc.store.paragraph_sentence
     # A paragraph's opener is its first sentence.
-    openers = ([bounds[p] for p in section.paragraph_range] for section in doc.sections)
-    return _breaks(store, openers, partial(_share_no_stem, store), "S401",
-                   "paragraph opener carries no key term over from the previous opener")
+    pairs = ((bounds[p - 1], bounds[p]) for section in doc.sections
+             for p in section.paragraph_range[1:])
+    return _breaks(doc.store, "S401", "paragraph opener carries no key term over from the "
+                   "previous opener", pairs)
 
 
 def detect_overlong_document(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:

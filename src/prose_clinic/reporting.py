@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .config import INT_FIELDS, AnalysisConfig
+from .config import AnalysisConfig, ConfigError
 from .detectors import REGISTRY, Diagnostic
 from .document import Span
 from .maladies import EvidenceRef, MaladyFinding, MaladyKind
@@ -147,16 +147,8 @@ def parse_machine(text: str) -> Report:
         if m["narrative"] != finding.narrative:
             raise ValueError(f"{m['kind']} has narrative {m['narrative']!r}")
         maladies.append(finding)
-    values = _field(data, "config", dict)
-    for key, value in values.items():
-        # What render_machine writes: an int for an int field, a number for
-        # the others, and null only for max_pages. A bool is no number.
-        number = int if key in INT_FIELDS else (int, float)
-        if not (value is None and key == "max_pages") and (
-                isinstance(value, bool) or not isinstance(value, number)):
-            raise ValueError(f"bad config: {key} is {value!r}")
     try:
-        config = AnalysisConfig(**values)
-    except TypeError as exc:
+        config = AnalysisConfig(**_field(data, "config", dict))
+    except (TypeError, ConfigError) as exc:
         raise ValueError(f"bad config: {exc}") from None
     return Report(_field(data, "document", str), config, tuple(diagnostics), tuple(maladies))

@@ -33,6 +33,12 @@ def test_config_is_frozen():
     ("max_pages", 0),
     ("footnote_ratio", float("nan")),
     ("intensity_per_page", float("inf")),
+    ("link_window_tokens", 2.5),
+    ("keyword_count", 3.0),
+    ("words_per_page", None),
+    ("max_sentence_words", True),
+    ("footnote_ratio", True),
+    ("max_pages", "3"),
 ])
 def test_nonpositive_values_rejected(field, value):
     with pytest.raises(ConfigError, match=field):

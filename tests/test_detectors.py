@@ -94,6 +94,12 @@ def test_s102_needs_a_be_form():
     assert detect("S102", text) == []
 
 
+def test_s102_gerund_has_at_least_five_letters():
+    (diag,) = detect("S102", "It is the doing of experts.")
+    assert diag.measured == 2
+    assert detect("S102", "It is the ring of steel.") == []
+
+
 # --- S103: interrupted or delayed core ------------------------------------
 
 def test_s103_interruption():
@@ -140,6 +146,21 @@ def test_s103_connector_prefix_is_not_an_interruption():
     assert all("interrupted" not in d.message for d in diags)
 
 
+LEAD_CFG = AnalysisConfig(max_delay_words=2)
+
+
+def test_s103_lead_ing_word_has_at_least_five_letters():
+    (diag,) = detect("S103", "Going home, we slept.", cfg=LEAD_CFG)
+    assert diag.measured == 2
+    assert detect("S103", "Sing loud, we slept.", cfg=LEAD_CFG) == []
+
+
+def test_s103_lead_opens_within_its_first_two_words():
+    (diag,) = detect("S103", "Long before dawn, we slept.", cfg=LEAD_CFG)
+    assert diag.measured == 3
+    assert detect("S103", "Quite long before dawn, we slept.", cfg=LEAD_CFG) == []
+
+
 # --- S201: unlinked sentences ----------------------------------------------
 
 def test_s201_unlinked_paragraph():
@@ -156,6 +177,12 @@ def test_s201_linked_paragraph_is_quiet():
 
 def test_s201_connector_counts_as_link():
     assert detect("S201", "We failed. But we learned.") == []
+
+
+def test_s201_conjunctive_adverb_counts_as_link():
+    assert detect("S201", "The probe failed. However, water rose fast.") == []
+    (diag,) = detect("S201", "The probe failed. Water rose fast.")
+    assert diag.measured == 0
 
 
 def test_s201_repeated_stem_counts_as_link():
@@ -205,6 +232,12 @@ def test_s302_needs_four_sentences():
     assert detect("S302", text) == []
 
 
+def test_s302_four_sentences_are_enough():
+    text = "G fluctuates between 5 and 7 percent. It moves. It settles. It stays."
+    (diag,) = detect("S302", text)
+    assert diag.measured == 2
+
+
 def test_s302_demonstrative_signals_a_point():
     text = ("These 5 regions diverge sharply. " + FILLER + " " + FILLER + " "
             + FILLER)
@@ -215,6 +248,13 @@ def test_s302_leading_connector_signals_a_point():
     text = ("But 5 regions diverge sharply. " + FILLER + " " + FILLER + " "
             + FILLER)
     assert detect("S302", text) == []
+
+
+def test_s302_conjunctive_adverb_signals_a_point():
+    text = " ".join(["5 regions diverge sharply.", FILLER, FILLER, FILLER])
+    (diag,) = detect("S302", text)
+    assert diag.measured == 1
+    assert detect("S302", "However, " + text) == []
 
 
 # --- S401: broken opener storyline ------------------------------------------
@@ -268,6 +308,14 @@ def test_s601_eleven_notes_on_thirty_pages():
 
 def test_s601_ten_notes_on_thirty_pages():
     assert detect("S601", footnote_document([FILLER] * 1000, 10), fmt=MARKDOWN) == []
+
+
+def test_s601_fair_count_rounds_a_half_up():
+    # 12600 words are 31.5 pages, a fair count of 10.5 notes: 11 are fair.
+    text = footnote_document([FILLER] * 1050, 11)
+    assert detect("S601", text, fmt=MARKDOWN) == []
+    (diag,) = detect("S601", footnote_document([FILLER] * 1050, 12), fmt=MARKDOWN)
+    assert (diag.measured, diag.threshold) == (12, 11)
 
 
 def test_s601_thirty_three_notes_on_a_hundred_pages():
