@@ -31,15 +31,17 @@ class AnalysisConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            kind = "integer" if f.name in INT_FIELDS else "number"
+            integer = f.name in INT_FIELDS
             # An int field takes an int, the others any number, and max_pages
             # also None; a bool is no number. The chained comparison is false
             # for NaN as well.
             if not (value is None and f.name == "max_pages") and (
                     isinstance(value, bool)
-                    or not isinstance(value, int if kind == "integer" else (int, float))
+                    or not isinstance(value, int if integer else (int, float))
                     or not 0 < value < math.inf):
-                raise ConfigError(f"{f.name} must be a positive, finite {kind}, got {value!r}")
+                raise ConfigError(f"{f.name} must be a positive, finite "
+                                  f"{'integer' if integer else 'number'}, got {value!r}")
+
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(AnalysisConfig)}
 INT_FIELDS = frozenset(name for name, tp in _FIELD_TYPES.items() if tp == "int")
