@@ -396,12 +396,14 @@ REGISTRY = {rule.id: rule for rule in (
          "Distill the sentence: cut filler phrases to single words and keep "
          "one thought per sentence."),
     Rule("S102", detect_hidden_verb, Severity.INFO,
-         "a be-form plus noun-made actions instead of a strong verb", "§1.1",
+         "a be-form plus noun-made actions, or plus `the ...ing of` with an -ing "
+         "word of 5+ letters, instead of a strong verb", "§1.1",
          "Let the action be the verb: turn the noun-made actions back into "
          "verbs and retire the 'to be'."),
     Rule("S103", detect_broken_core, Severity.INFO,
          "subject-verb core interrupted by a long insertion, or delayed past "
-         "`max_delay_words` (12) of lead-in clauses", "§1.1",
+         "`max_delay_words` (12) of lead-in clauses, each opening with a "
+         "subordinator or a 5+ letter -ing word within its first two words", "§1.1",
          "Reunite subject and verb: move insertions out of the core and trim "
          "the lead-in clauses."),
     Rule("S201", detect_missing_link, Severity.WARNING,

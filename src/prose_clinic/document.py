@@ -212,7 +212,10 @@ class TokenStore:
     stem, or None for a stopword. Sentence i is tokens ``sentence_token[i]``
     up to ``sentence_token[i + 1]`` and likewise words in ``sentence_word``;
     paragraph p is sentences ``paragraph_sentence[p]`` up to ``[p + 1]``; each
-    of the three ends with a closing sentinel. Offsets take 4-byte ints below
+    of the three ends with a closing sentinel. A parse fills sentence_word
+    once, after its last run of body text: the store holds the sentences'
+    tokens and nothing else, so ``sentence_word[i]`` is the number of WORD
+    tokens before token ``sentence_token[i]``. Offsets take 4-byte ints below
     _OFFSET_LIMIT code points of source, 8-byte ints otherwise.
     """
 
@@ -421,8 +424,7 @@ class Document:
             yield from section.paragraphs
 
     def iter_sentences(self) -> Iterator[Sentence]:
-        for paragraph in self.iter_paragraphs():
-            yield from paragraph.sentences
+        return map(self.store.sentence, range(len(self.store.sentence_token) - 1))
 
 
 def scan_text(text: str, lexicon: Lexicon) -> TokenStore:
@@ -459,13 +461,12 @@ def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[st
                 abbreviations: dict[int, set[str]]) -> None:
     """Scan source[start:end], a run of body text, cut its tokens into
     paragraphs at the blank lines and each paragraph into sentences, and
-    append their bounds to the store's structure arrays."""
-    source, starts, ends, kind, word_token = (store.source, store.start, store.end, store.kind,
-                                              store.word_token)
+    append their bounds to the store's sentence_token and paragraph_sentence."""
+    source, starts, ends, kind = store.source, store.start, store.end, store.kind
     sentence_token = store.sentence_token
-    first_token, first_word, first_sentence = len(kind), len(word_token), len(sentence_token)
+    first_token = len(kind)
     store.scan(start, end, stopwords)
-    last_token, last_word = len(kind), len(word_token)
+    last_token = len(kind)
     # A paragraph starts at the run's first token and at each token after a
     # blank line. Tokens hold no whitespace, so a blank line lies in a gap.
     bounds = sorted({first_token, last_token, *(
@@ -486,10 +487,6 @@ def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[st
                     sentence_token.append(k + 1)
         sentence_token.append(last_token)
         store.paragraph_sentence.append(len(sentence_token) - 1)
-    # A sentence's words end at the first word at or after its end token.
-    store.sentence_word.fromlist(list(map(bisect_left, repeat(word_token),
-                                          sentence_token[first_sentence:],
-                                          repeat(first_word), repeat(last_word))))
 
 
 def parse_document(source: str, format: str = MARKDOWN, *,
@@ -541,6 +538,11 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             defs[fid] = store.span(line.start(4), line.start(4) + len(body))
         markers += [m.span() for m in _MARKER_RE.finditer(source, pos)]
     _paragraphs(store, pos, len(source), stopwords, abbreviations)
+    # A sentence's first word is the count of WORD tokens before its first
+    # token (see TokenStore).
+    bounds = store.sentence_token
+    store.sentence_word.fromlist(list(accumulate(
+        map(store.kind.count, repeat(WORD_CODE), bounds, bounds[1:]))))
     if len(sections) > 1 and sections[1][2] == 0:
         del sections[0]
     firsts = [first for _, _, first in sections] + [len(store.paragraph_sentence) - 1]

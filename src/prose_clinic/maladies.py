@@ -17,7 +17,6 @@ diagnostic list yields an empty finding list.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -132,18 +131,12 @@ def infer_maladies(doc: Document, diagnostics, cfg: AnalysisConfig,
             tuple(EvidenceRef(d.rule_id, d.span) for d in growth),
         ))
 
-    # PoorChunking: chunk symptoms in three or more distinct paragraphs.
+    # PoorChunking: chunk symptoms in three or more distinct paragraphs. S301
+    # spans its paragraph and S302 its paragraph's first sentence, so both
+    # start at the paragraph's first token, and a start offset names one
+    # paragraph.
     chunk = [d for d in diagnostics if d.rule_id in _CHUNK_RULES]
-    touched = set()
-    if chunk:  # the paragraph starts cost a pass over the paragraphs
-        # A paragraph starts where its first sentence's first token does.
-        store = doc.store
-        starts = [store.start[store.sentence_token[s]] for s in store.paragraph_sentence[:-1]]
-        for diag in chunk:
-            start = diag.span.start_byte
-            i = bisect_right(starts, start) - 1
-            if i >= 0 and start < store.paragraph_span(i).end_byte:
-                touched.add(i)
+    touched = {d.span.start_byte for d in chunk}
     if len(touched) >= 3:
         findings.append(MaladyFinding(
             MaladyKind.POOR_CHUNKING, len(touched),

@@ -146,6 +146,14 @@ def test_s103_connector_prefix_is_not_an_interruption():
     assert all("interrupted" not in d.message for d in diags)
 
 
+def test_s103_a_lead_in_that_ends_the_paragraph_on_a_comma_delays_the_core():
+    # The closing comma leaves an empty last segment, which ends the leads.
+    text = "Although the committee met on many occasions over the long and busy year,"
+    (diag,) = detect("S103", text)
+    assert diag.measured == 13
+    assert "delayed" in diag.message
+
+
 LEAD_CFG = AnalysisConfig(max_delay_words=2)
 
 
@@ -391,11 +399,12 @@ def test_s702_three_superlatives_in_one_page():
 
 def test_s702_most_plus_content_word():
     cfg = dataclasses.replace(CFG, superlative_per_page=0.5)
-    text = paragraphs(["The most elegant method wins the day."] + [FILLER_SHORT] * 49)
-    doc = parse_document(text, PLAIN)
-    (diag,) = RULES["S702"](doc, cfg)
-    span = diag.evidence[0]
-    assert doc.source[span.start_byte:span.end_byte] == "most elegant"
+    for opening, phrase in [("The most elegant method wins the day.", "most elegant"),
+                            ("Most elegant methods win the day.", "Most elegant")]:
+        doc = parse_document(paragraphs([opening] + [FILLER_SHORT] * 49), PLAIN)
+        (diag,) = RULES["S702"](doc, cfg)
+        span = diag.evidence[0]
+        assert doc.source[span.start_byte:span.end_byte] == phrase
 
 
 def test_s702_most_plus_stopword_does_not_count():

@@ -12,6 +12,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from passages import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+EQUIVALENCE = Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
 
 GROWN = " ".join(["The spores grew."] * 7)
 
@@ -155,6 +158,18 @@ def test_corpus_trips_every_rule_and_malady():
                 "RhetoricRisk")
     for name in rules + maladies:
         assert f" {name} ".encode() in recorded, name
+
+
+def test_equivalence_tool_reproduces_its_recording():
+    """tools/equivalence.py on this tree prints the recorded seed-1 lines:
+    every benchmark input's exit code and stdout digest in both output
+    forms."""
+    done = subprocess.run([sys.executable, str(EQUIVALENCE), "--seed", "1"],
+                          capture_output=True, check=False)
+    assert done.returncode == 0, done.stderr.decode()
+    recorded = (GOLDEN / "equivalence-seed1.txt").read_bytes()
+    assert recorded and all(line.split()[3] in (b"0", b"1") for line in recorded.splitlines())
+    assert done.stdout == recorded
 
 
 def record() -> None:

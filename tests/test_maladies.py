@@ -116,6 +116,15 @@ def test_two_touched_paragraphs_are_not_enough():
     assert findings == []
 
 
+def test_one_paragraph_counts_once_toward_poor_chunking():
+    # S301 spans the first paragraph and S302 its first sentence: two chunk
+    # symptoms in one paragraph.
+    text = "12 cells grew. " + GROWN + "\n\n" + GROWN
+    doc, diags, findings = analyze(text, fmt=PLAIN)
+    assert [d.rule_id for d in diags] == ["S301", "S302", "S301"]
+    assert findings == []
+
+
 # --- MissingRapRelevance ---------------------------------------------------------
 
 LONG_TAIL = " ".join(["alpha"] * 26) + "."

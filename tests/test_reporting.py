@@ -172,6 +172,9 @@ def test_machine_config_must_be_analysis_config(config):
     (("config", "words_per_page"), None),
     (("config", "max_sentence_words"), 2.5),
     (("config", "keyword_count"), 3.0),
+    (("diagnostics", 0, "end_byte"), 0),
+    (("diagnostics", 0, "line"), 0),
+    (("maladies", 0, "evidence", 0, "column"), 0),
 ])
 def test_machine_line_of_a_wrong_shape_raises_value_error(path, value):
     payload = json.loads(render_machine(report_for(composite_text())))

@@ -15,9 +15,9 @@ Two trees whose lines agree give byte-identical output on these inputs. The
 inputs are written to a temporary directory and named by relative paths from
 there, so the output does not depend on where the directory lies.
 
-The seed-1 lines are recorded in tests/golden/equivalence-seed1.txt, and CI
-diffs the tree's lines against that file. Record it again only for an
-intended output change:
+The seed-1 lines are recorded in tests/golden/equivalence-seed1.txt, and a
+tier-1 test (tests/test_golden.py) compares the tree's lines with that file.
+Record it again only for an intended output change:
 
     python3 tools/equivalence.py --seed 1 > tests/golden/equivalence-seed1.txt
 """
