@@ -539,10 +539,10 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         markers += [m.span() for m in _MARKER_RE.finditer(source, pos)]
     _paragraphs(store, pos, len(source), stopwords, abbreviations)
     # A sentence's first word is the count of WORD tokens before its first
-    # token (see TokenStore).
+    # token (see TokenStore). extend, unlike fromlist, holds no list of them.
     bounds = store.sentence_token
-    store.sentence_word.fromlist(list(accumulate(
-        map(store.kind.count, repeat(WORD_CODE), bounds, bounds[1:]))))
+    store.sentence_word.extend(accumulate(
+        map(store.kind.count, repeat(WORD_CODE), bounds, bounds[1:])))
     if len(sections) > 1 and sections[1][2] == 0:
         del sections[0]
     firsts = [first for _, _, first in sections] + [len(store.paragraph_sentence) - 1]
