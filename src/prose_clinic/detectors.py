@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .config import AnalysisConfig
 from .document import (COMMA_CODE, NUMBER_CODE, PUNCTUATION_CODE, WORD_CODE, Document, Span,
@@ -35,8 +35,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule_id: str
     span: Span
     measured: int | float
@@ -334,8 +333,10 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
             families.setdefault(lexicon.folded_intensity_family(word), []).append(i)
     out = []
     for family, hits in families.items():
+        # A rate that overflows to infinity, from a page estimate near 0,
+        # reports nothing, as an estimate of 0 does: JSON has no infinity.
         rate = len(hits) / pages
-        if rate > cfg.intensity_per_page:
+        if cfg.intensity_per_page < rate < math.inf:
             out.append(Diagnostic(
                 "S701", store.word_span(hits[0]), rate, cfg.intensity_per_page,
                 f"'{family}' and kin appear {len(hits)} times in an estimated "
@@ -367,7 +368,7 @@ def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagn
     if not hits:
         return []
     rate = len(hits) / pages
-    if rate <= cfg.superlative_per_page:
+    if not cfg.superlative_per_page < rate < math.inf:  # as in S701
         return []
     spans = tuple([store.word_span(i, j) for i, j in hits])
     return [Diagnostic(

@@ -43,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, pairwise, repeat
 from operator import itemgetter, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .lexicon import Lexicon, default_lexicon, stem
 
@@ -76,21 +76,16 @@ class DocumentStructureError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(NamedTuple):
     """Half-open offset range into the source text, with the 1-based line and
-    column of its start. Offsets index the source string."""
+    column of its start. Offsets index the source string. A Span is not
+    checked when built: TokenStore.span builds valid ones, and parse_machine
+    rejects a degenerate one."""
 
     start_byte: int
     end_byte: int
     line: int
     column: int
-
-    def __post_init__(self):
-        if not 0 <= self.start_byte < self.end_byte:
-            raise ValueError(f"degenerate span [{self.start_byte}, {self.end_byte})")
-        if self.line < 1 or self.column < 1:
-            raise ValueError("line and column are 1-based")
 
 
 @dataclass(frozen=True, slots=True)

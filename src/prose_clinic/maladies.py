@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import AnalysisConfig
 from .document import Document, Section, Span, TokenStore, scan_text
@@ -37,8 +38,7 @@ class MaladyKind(enum.Enum):
     RHETORIC_RISK = "RhetoricRisk"
 
 
-@dataclass(frozen=True)
-class EvidenceRef:
+class EvidenceRef(NamedTuple):
     rule_id: str
     span: Span
 

@@ -4,12 +4,17 @@ A Report bundles one document's diagnostics and malady findings with the
 configuration that produced them. It renders two ways: a line-oriented human
 form (one finding per line, grep-friendly) and a machine form, one compact
 JSON object on one line, that parses back into an equal Report.
+render_machine writes the bytes json.dumps would, with f-strings and no dict
+per finding: strings through json's encode_basestring, each span through one
+%-format of its four ints, numbers through repr. parse_machine checks each
+span it reads, since a Span is not checked when it is built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring as _encode
 
 from .config import AnalysisConfig, ConfigError
 from .detectors import REGISTRY, Diagnostic
@@ -60,47 +65,38 @@ def render_human(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _span_payload(span: Span) -> dict:
-    return {
-        "start_byte": span.start_byte,
-        "end_byte": span.end_byte,
-        "line": span.line,
-        "column": span.column,
-    }
-
-
-# The config's fields are flat numbers: no dataclasses.asdict deep copy.
+# A Span is a tuple of its four ints, in this order.
+_SPAN_JSON = '"start_byte":%d,"end_byte":%d,"line":%d,"column":%d'
 _CONFIG_FIELDS = tuple(f.name for f in fields(AnalysisConfig))
 
 
+def _spans(spans) -> str:
+    return ",".join(["{" + _SPAN_JSON % span + "}" for span in spans])
+
+
+def _refs(refs) -> str:
+    return ",".join([f'{{"rule_id":{_encode(ref.rule_id)},{_SPAN_JSON % ref.span}}}'
+                     for ref in refs])
+
+
 def render_machine(report: Report) -> str:
-    payload = {
-        "document": report.document,
-        "config": {name: getattr(report.config, name) for name in _CONFIG_FIELDS},
-        "diagnostics": [
-            {
-                "rule_id": d.rule_id,
-                "severity": d.severity.value,
-                **_span_payload(d.span),
-                "measured": d.measured,
-                "threshold": d.threshold,
-                "message": d.message,
-                "evidence": [_span_payload(s) for s in d.evidence],
-            }
-            for d in report.diagnostics
-        ],
-        "maladies": [
-            {
-                "kind": m.kind.value,
-                "strength": m.strength,
-                "evidence": [{"rule_id": ref.rule_id, **_span_payload(ref.span)}
-                             for ref in m.evidence],
-                "narrative": m.narrative,
-            }
-            for m in report.maladies
-        ],
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    # repr writes a number as json.dumps does while it is finite, and every
+    # measured and threshold value is: the detectors report counts and finite
+    # ratios of the config's positive, finite values. Severities and malady
+    # kinds are enum values with nothing to escape; max_pages may be None.
+    diagnostics = ",".join([
+        f'{{"rule_id":{_encode(d.rule_id)},"severity":"{d.severity.value}",'
+        f'{_SPAN_JSON % d.span},"measured":{d.measured!r},"threshold":{d.threshold!r},'
+        f'"message":{_encode(d.message)},"evidence":[{_spans(d.evidence)}]}}'
+        for d in report.diagnostics])
+    maladies = ",".join([
+        f'{{"kind":"{m.kind.value}","strength":{m.strength},"evidence":[{_refs(m.evidence)}],'
+        f'"narrative":{_encode(m.narrative)}}}'
+        for m in report.maladies])
+    config = json.dumps({name: getattr(report.config, name) for name in _CONFIG_FIELDS},
+                        separators=(",", ":"))
+    return (f'{{"document":{_encode(report.document)},"config":{config},'
+            f'"diagnostics":[{diagnostics}],"maladies":[{maladies}]}}\n')
 
 
 def _field(payload, key: str, *types: type):
@@ -114,8 +110,13 @@ def _field(payload, key: str, *types: type):
 
 
 def _span_from(payload: dict) -> Span:
-    return Span(*(_field(payload, key, int)
+    span = Span(*(_field(payload, key, int)
                   for key in ("start_byte", "end_byte", "line", "column")))
+    if not 0 <= span.start_byte < span.end_byte:
+        raise ValueError(f"degenerate span [{span.start_byte}, {span.end_byte})")
+    if span.line < 1 or span.column < 1:
+        raise ValueError("line and column are 1-based")
+    return span
 
 
 def parse_machine(text: str) -> Report:

@@ -248,6 +248,27 @@ def test_huge_footnote_ratio_overflows_to_no_finding(tmp_path, capsys):
     assert capsys.readouterr().out == f"{doc}: no findings\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is no JSON number")
+
+
+def _strict_json(line):
+    """json.loads that rejects NaN and Infinity, which JSON does not have."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+def test_huge_words_per_page_overflows_to_no_rate_finding(tmp_path, capsys):
+    # 24 words: on pages of 10**310 words the S701 and S702 rates per page
+    # overflow to infinity; on pages of 10**300 words they stay finite.
+    doc = write(tmp_path, "rates.txt",
+                " ".join([SUPERLATIVE_PASSAGE] + [INTENSITY_ADV] * 2) + "\n")
+    for words_per_page, rules in ((10**300, {"S201", "S701", "S702"}), (10**310, {"S201"})):
+        argv = ["analyze", "--words-per-page", str(words_per_page), "--output", "machine", doc]
+        assert run(argv) == 1
+        data = _strict_json(capsys.readouterr().out)
+        assert {d["rule_id"] for d in data["diagnostics"]} == rules
+
+
 def test_float_flag_arms_the_page_rule(tmp_path, capsys):
     doc = write(tmp_path, "big.txt", paragraphs([FILLER] * 1000) + "\n")
     assert run(["analyze", doc]) == 0
@@ -425,7 +446,7 @@ _DOC_BYTES = st.one_of(_DOC_TEXT.map(str.encode), _DOC_TEXT.map(str.encode),
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(AnalysisConfig)]
 _CONFIG_TEXT = st.lists(
     st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS),
-              st.sampled_from(["1", "3", "25", "9" * 40, "1_000"])),
+              st.sampled_from(["1", "3", "25", "9" * 40, "1" + "0" * 310, "1_000"])),
     max_size=6).map("\n".join)
 _BAD_CONFIG_LINE = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS + ["bogus"]),
@@ -490,10 +511,13 @@ def test_any_input_files_end_in_a_documented_exit_code(documents, config, lexico
                     assert any(line.startswith("clinic: ") for line in err.splitlines())
                 else:
                     assert err == ""
-            # The machine run is the last: each line round-trips, and exit 1
-            # means findings and nothing else.
+            # The machine run is the last: each line is JSON with no NaN or
+            # infinity, it round-trips, and exit 1 means findings and nothing
+            # else.
             lines = out.split("\n")
             assert lines.pop() == ""
+            for line in lines:
+                _strict_json(line)
             reports = [parse_machine(line) for line in lines]
             for line, report in zip(lines, reports):
                 assert render_machine(report) == line + "\n"

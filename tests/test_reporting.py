@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import REGISTRY, RULE_IDS, run_all
-from prose_clinic.document import MARKDOWN, PLAIN, parse_document
-from prose_clinic.maladies import extract_keywords, infer_maladies
+from prose_clinic.detectors import REGISTRY, RULE_IDS, Diagnostic, run_all
+from prose_clinic.document import MARKDOWN, PLAIN, Span, parse_document
+from prose_clinic.maladies import (EvidenceRef, MaladyFinding, MaladyKind, extract_keywords,
+                                   infer_maladies)
 from prose_clinic.reporting import (
     Report,
     build_report,
@@ -206,6 +210,56 @@ def test_machine_preserves_number_types():
 def test_machine_rendering_is_deterministic():
     report = report_for(composite_text())
     assert render_machine(report) == render_machine(report)
+
+
+def _reference_render(report):
+    """The machine form as nested dicts through json.dumps, which
+    render_machine writes directly."""
+    def span(s):
+        return {"start_byte": s.start_byte, "end_byte": s.end_byte,
+                "line": s.line, "column": s.column}
+
+    payload = {
+        "document": report.document,
+        "config": dataclasses.asdict(report.config),
+        "diagnostics": [
+            {"rule_id": d.rule_id, "severity": d.severity.value, **span(d.span),
+             "measured": d.measured, "threshold": d.threshold, "message": d.message,
+             "evidence": [span(s) for s in d.evidence]}
+            for d in report.diagnostics],
+        "maladies": [
+            {"kind": m.kind.value, "strength": m.strength,
+             "evidence": [{"rule_id": ref.rule_id, **span(ref.span)} for ref in m.evidence],
+             "narrative": m.narrative}
+            for m in report.maladies],
+    }
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+# Quotes, backslashes, control characters, a line separator and non-ASCII
+# text, among any other characters.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é€𝄞'), st.characters()),
+                max_size=12)
+_SPAN = st.builds(lambda start, length, line, column: Span(start, start + length, line, column),
+                  st.integers(0, 2**40), st.integers(1, 2**20), st.integers(1, 2**20),
+                  st.integers(1, 2**20))
+_NUMBER = st.one_of(st.integers(-2**70, 2**70), st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([1e16, 5e-324, 1 / 3, 0.1, -0.0, 30]))
+_DIAGNOSTIC = st.builds(Diagnostic, st.sampled_from(RULE_IDS), _SPAN, _NUMBER, _NUMBER, _TEXT,
+                        st.lists(_SPAN, max_size=3).map(tuple))
+_MALADY = st.builds(MaladyFinding, st.sampled_from(MaladyKind), st.integers(0, 2**40),
+                    st.lists(st.builds(EvidenceRef, _TEXT, _SPAN), max_size=3).map(tuple))
+_CONFIG = st.builds(AnalysisConfig, max_pages=st.one_of(
+    st.none(), st.integers(1, 10**20), st.floats(min_value=5e-324, max_value=1e300)))
+_REPORT = st.builds(Report, _TEXT, _CONFIG, st.lists(_DIAGNOSTIC, max_size=4).map(tuple),
+                    st.lists(_MALADY, max_size=3).map(tuple))
+
+
+@given(_REPORT)
+def test_machine_rendering_equals_json_dumps_of_nested_dicts(report):
+    out = render_machine(report)
+    assert out == _reference_render(report)
+    assert parse_machine(out) == report
 
 
 # --- report assembly ----------------------------------------------------------
