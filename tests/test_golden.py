@@ -160,14 +160,15 @@ def test_corpus_trips_every_rule_and_malady():
         assert f" {name} ".encode() in recorded, name
 
 
-def test_equivalence_tool_reproduces_its_recording():
-    """tools/equivalence.py on this tree prints the recorded seed-1 lines:
-    every benchmark input's exit code and stdout digest in both output
+@pytest.mark.parametrize("seed", [1, 2])
+def test_equivalence_tool_reproduces_its_recording(seed):
+    """tools/equivalence.py on this tree prints the recorded lines of the
+    seed: every benchmark input's exit code and stdout digest in both output
     forms."""
-    done = subprocess.run([sys.executable, str(EQUIVALENCE), "--seed", "1"],
+    done = subprocess.run([sys.executable, str(EQUIVALENCE), "--seed", str(seed)],
                           capture_output=True, check=False)
     assert done.returncode == 0, done.stderr.decode()
-    recorded = (GOLDEN / "equivalence-seed1.txt").read_bytes()
+    recorded = (GOLDEN / f"equivalence-seed{seed}.txt").read_bytes()
     assert recorded and all(line.split()[3] in (b"0", b"1") for line in recorded.splitlines())
     assert done.stdout == recorded
 
