@@ -3,15 +3,19 @@
 Each rule is a pure function of (Document, AnalysisConfig) returning located
 diagnostics; word classes come from the lexicon the document was parsed with.
 The rules read the document's flat token arrays (doc.store) by index, not
-the Token views, and build a Span only for what they report. Words are
-tested in the lowercase forms the scan folded them to (store.word_lower),
-against the lexicon's sets, and sentences are compared on the content stems
-of their word ranges (store.word_stem, None for a stopword); no rule reads
-or lowercases a word's raw text.
+the Token views, and build a Span only for what they report. The scan gave
+each word a class byte (store.word_class, see Lexicon.word_class), and the
+rules that look for words of a class (S102, S103, S201, S302, S701, S702)
+find them with a C-level scan of those bytes (_hits), then find each hit's
+sentence by bisection and visit only those hits and sentences. A word's
+other tests read the lowercase form the scan folded it to (store.word_lower),
+and sentences are compared on the content stems of their word ranges
+(store.word_stem, None for a stopword); no rule reads or lowercases a word's
+raw text.
 S201 and S401 hand adjacent (prev, cur) sentence pairs to one loop, _breaks,
 which reports each pair that shares no content stem: S201 the pairs in a
-paragraph whose cur shows no link (_signals_link, which S302 also tests), and
-S401 the adjacent paragraph openers in a section.
+paragraph whose cur shows no link (_linked, which S302 also tests), and S401
+the adjacent paragraph openers in a section.
 REGISTRY at the end of the module holds one Rule record per rule; the rule
 table, the severities and the treatment pointers are all read from it.
 """
@@ -20,14 +24,23 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import cache
+from itertools import compress, pairwise, repeat
+from operator import add, lt, sub
 from typing import Callable, NamedTuple
 
 from .config import AnalysisConfig
 from .document import (COMMA_CODE, NUMBER_CODE, PUNCTUATION_CODE, WORD_CODE, Document, Span,
                        TokenStore)
-from .lexicon import Lexicon
+from .lexicon import (BE_FORM, CONNECTOR, DEMONSTRATIVE, GERUND, INTENSITY, NOMINALIZATION,
+                      SUBORDINATOR, SUPERLATIVE)
+
+# bytes.translate table: 1 for the WORD and NUMBER kind codes, 0 for the others.
+_COUNTABLE = bytes(map(PUNCTUATION_CODE.__gt__, range(256)))
+# The classes of a word that opens a lead clause of S103.
+_LEAD = SUBORDINATOR | GERUND
 
 
 class Severity(enum.Enum):
@@ -48,14 +61,42 @@ class Diagnostic(NamedTuple):
         return REGISTRY[self.rule_id].severity
 
 
-def _signals_link(words: list[str], cfg: AnalysisConfig, lexicon: Lexicon) -> bool:
-    """A connector among the first link_window_tokens of a sentence's
-    lowercase words, or a demonstrative anywhere among them."""
-    window = words[:cfg.link_window_tokens]
-    return not (lexicon.coordinating.isdisjoint(window)
-                and lexicon.subordinating.isdisjoint(window)
-                and lexicon.conjunctive_adverbs.isdisjoint(window)
-                and lexicon.demonstratives.isdisjoint(words))
+@cache
+def _mask(bits: int) -> bytes:
+    """bytes.translate table: 1 for a class byte with any of bits, else 0."""
+    return bytes(map(bool, map(bits.__and__, range(256))))
+
+
+def _hits(store: TokenStore, bits: int, lo: int = 0, hi: int | None = None) -> list[int]:
+    """The indices of the words in [lo, hi) whose class byte has any of
+    bits, in order."""
+    marks = store.word_class[lo:hi].translate(_mask(bits))
+    hits = []
+    i = marks.find(1)
+    while i >= 0:
+        hits.append(lo + i)
+        i = marks.find(1, i + 1)
+    return hits
+
+
+def _sentences(store: TokenStore, words: list[int]) -> list[int]:
+    """The index of the sentence that holds each of the words. A sentence
+    without words starts where the next one does, so the last sentence to
+    start at or before a word is the one that holds it."""
+    return list(map(sub, map(bisect_right, repeat(store.sentence_word), words), repeat(1)))
+
+
+def _linked(store: TokenStore, window: int, lo: int = 0, hi: int | None = None) -> set[int]:
+    """The sentences, among those of the words [lo, hi), that signal a link
+    to the sentence before: a connector among their first `window` words, or
+    a demonstrative anywhere in them."""
+    bounds = store.sentence_word
+    connectors = _hits(store, CONNECTOR, lo, hi)
+    sentences = _sentences(store, connectors)
+    ends = map(add, map(bounds.__getitem__, sentences), repeat(window))
+    linked = set(compress(sentences, map(lt, connectors, ends)))
+    linked.update(_sentences(store, _hits(store, DEMONSTRATIVE, lo, hi)))
+    return linked
 
 
 def _pages(doc: Document, cfg: AnalysisConfig) -> float:
@@ -87,22 +128,21 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S102: a be-form carrying nominalizations, or a "the <gerund> of"
     construction, instead of a strong verb. The gerund is an -ing word of at
     least five letters."""
-    lexicon, store = doc.lexicon, doc.store
-    words = store.word_lower
-    be_forms = lexicon.be_forms
+    store = doc.store
+    words, bounds = store.word_lower, store.sentence_word
     out = []
-    for sentence, (lo, hi) in enumerate(pairwise(store.sentence_word)):
-        if be_forms.isdisjoint(words[lo:hi]):
+    last = -1  # the sentence of the last be-form
+    be_forms = _hits(store, BE_FORM)
+    for be, sentence in zip(be_forms, _sentences(store, be_forms)):
+        # A sentence's first be-form stands for it.
+        if sentence == last:
             continue
-        be = next(i for i in range(lo, hi) if words[i] in be_forms)
-        noms = [i for i in range(lo, hi) if lexicon.is_folded_nominalization(words[i])]
-        gerund = None
-        for i in range(lo, hi - 2):
-            mid = words[i + 1]
-            if (words[i] == "the" and words[i + 2] == "of"
-                    and mid.endswith("ing") and len(mid) >= 5):
-                gerund = i
-                break
+        last = sentence
+        lo, hi = bounds[sentence], bounds[sentence + 1]
+        noms = _hits(store, NOMINALIZATION, lo, hi)
+        # The first gerund between a "the" and an "of".
+        gerund = next((i - 1 for i in _hits(store, GERUND, lo + 1, hi - 1)
+                       if words[i - 1] == "the" and words[i + 1] == "of"), None)
         signals = len(noms) + (2 if gerund is not None else 0)
         if signals < 2:
             continue
@@ -118,35 +158,24 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _comma_segments(store: TokenStore, i: int) -> list[tuple[list[int], int, int]]:
-    """For each of sentence i's comma-separated segments, the indices of
-    its countable tokens (words plus numbers, as in sentence word counts)
-    and the range [lo, hi) of its WORD tokens in the store's word arrays.
-    A sentence without a comma has one segment, and S103 needs two, so its
-    segments are not built: the list is empty."""
+def _comma_segments(store: TokenStore, i: int, comma: int) -> list[tuple[list[int], int, int]]:
+    """For each of the comma-separated segments of sentence i, whose first
+    comma is token comma, the indices of its countable tokens (words plus
+    numbers, as in sentence word counts) and the range [lo, hi) of its WORD
+    tokens in the store's word arrays."""
     kind = store.kind
     pos, end = store.sentence_token[i], store.sentence_token[i + 1]
-    comma = kind.find(COMMA_CODE, pos, end)
-    if comma < 0:
-        return []
     segments = []
     word = store.sentence_word[i]
     while pos <= end:
         stop = end if comma < 0 else comma
         words = kind.count(WORD_CODE, pos, stop)
-        segments.append(([i for i in range(pos, stop) if kind[i] < PUNCTUATION_CODE],
+        segments.append((list(compress(range(pos, stop), kind[pos:stop].translate(_COUNTABLE))),
                          word, word + words))
         word += words
         pos = stop + 1
         comma = kind.find(COMMA_CODE, pos, end)
     return segments
-
-
-def _qualifies_as_lead(words: list[str], lo: int, hi: int, subordinators) -> bool:
-    # A lead segment opens with a subordinator or an -ing form, possibly
-    # behind one extra word ("even though ...", "and listening ...").
-    return any(w in subordinators or (w.endswith("ing") and len(w) >= 5)
-               for w in words[lo:min(hi, lo + 2)])
 
 
 def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
@@ -155,22 +184,24 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     a comma segment with a subordinator or an -ing word of at least five
     letters among its first two words."""
     lexicon, store = doc.lexicon, doc.store
-    words = store.word_lower
-    connectors = lexicon.coordinating | lexicon.subordinating | lexicon.conjunctive_adverbs
-    # A word in both sets counts as coordinating: it joins clauses of equal
-    # rank, so it opens no lead.
-    subordinators = lexicon.subordinating - lexicon.coordinating
+    classes, kind, tokens = store.word_class, store.kind, store.sentence_token
+    lead = _mask(_LEAD)
     out = []
-    for sentence in range(len(store.sentence_token) - 1):
-        segments = _comma_segments(store, sentence)
+    # Only a sentence with a comma has two segments or more.
+    comma = kind.find(COMMA_CODE)
+    while comma >= 0:
+        sentence = bisect_right(tokens, comma) - 1
+        segments = _comma_segments(store, sentence, comma)
+        comma = kind.find(COMMA_CODE, tokens[sentence + 1])
         span = None  # the sentence's span, built for its first finding
         if len(segments) >= 3:
             (prefix, lo, _), (insertion, _, _) = segments[:2]
-            # A number has no case to fold, so it is tested as it stands.
+            # A number has no case to fold, so it is classed as it stands.
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
-                    and (words[lo] if store.kind[prefix[0]] == WORD_CODE
-                         else store.source[store.start[prefix[0]]:store.end[prefix[0]]])
-                    not in connectors
+                    and not CONNECTOR & (
+                        classes[lo] if kind[prefix[0]] == WORD_CODE
+                        else lexicon.word_class(store.source[store.start[prefix[0]]:
+                                                             store.end[prefix[0]]]))
                     and len(insertion) >= cfg.min_insertion_words
                     and any(countable for countable, _, _ in segments[2:])):
                 span = store.sentence_span(sentence)
@@ -185,7 +216,10 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
             total = 0
             leads = []
             for countable, lo, hi in segments:
-                if countable and _qualifies_as_lead(words, lo, hi, subordinators):
+                # A lead segment opens with a subordinator or an -ing form,
+                # possibly behind one extra word ("even though ...", "and
+                # listening ...").
+                if countable and any(classes[lo:min(hi, lo + 2)].translate(lead)):
                     total += len(countable)
                     leads.append((countable[0], countable[-1] + 1))
                 else:
@@ -210,8 +244,9 @@ def _breaks(store: TokenStore, rule_id: str, message: str, pairs) -> list[Diagno
     out = []
     last, span = -1, None  # the last reported cur and its span
     for prev, cur in pairs:
-        if set(filter(None, stems[bounds[prev]:bounds[prev + 1]])).isdisjoint(
-                stems[bounds[cur]:bounds[cur + 1]]):
+        terms = set(stems[bounds[prev]:bounds[prev + 1]])
+        terms.discard(None)
+        if terms.isdisjoint(stems[bounds[cur]:bounds[cur + 1]]):
             evidence = span if prev == last else store.sentence_span(prev)
             last, span = cur, store.sentence_span(cur)
             out.append(Diagnostic(rule_id, span, 0, 1, message, (evidence, span)))
@@ -223,10 +258,10 @@ def detect_missing_link(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     content stem of its predecessor, nor points back with a demonstrative.
     A bare pronoun does not count as a link."""
     store = doc.store
-    words, bounds = store.word_lower, store.sentence_word
-    pairs = ((cur - 1, cur) for first, end in pairwise(store.paragraph_sentence)
-             for cur in range(first + 1, end)
-             if not _signals_link(words[bounds[cur]:bounds[cur + 1]], cfg, doc.lexicon))
+    # Every sentence but a paragraph's first is paired with the one before.
+    unlinked = set(range(len(store.sentence_token) - 1)).difference(
+        store.paragraph_sentence, _linked(store, cfg.link_window_tokens))
+    pairs = ((cur - 1, cur) for cur in sorted(unlinked))
     return _breaks(store, "S201", "no explicit link to the previous sentence (no leading "
                    "connector, repeated key term, or demonstrative)", pairs)
 
@@ -252,16 +287,15 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
     with numbers and never signals a point (no demonstrative, no connector in
     the opening window)."""
     store = doc.store
-    words, bounds = store.word_lower, store.sentence_word
+    kind, tokens, bounds = store.kind, store.sentence_token, store.sentence_word
     out = []
     for first, end in pairwise(store.paragraph_sentence):
         if end - first < 4:
             continue
-        numbers = [i for i in range(store.sentence_token[first], store.sentence_token[first + 1])
-                   if store.kind[i] == NUMBER_CODE]
+        numbers = [i for i in range(tokens[first], tokens[first + 1]) if kind[i] == NUMBER_CODE]
         if not numbers:
             continue
-        if _signals_link(words[bounds[first]:bounds[first + 1]], cfg, doc.lexicon):
+        if _linked(store, cfg.link_window_tokens, bounds[first], bounds[first + 1]):
             continue
         out.append(Diagnostic(
             "S302", store.sentence_span(first), len(numbers), 0,
@@ -326,11 +360,10 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
     if pages <= 0:
         return []
     # The store holds exactly the words of the document's sentences, in order.
-    intensity = lexicon.intensity_words
+    words = store.word_lower
     families: dict[str, list[int]] = {}
-    for i, word in enumerate(store.word_lower):
-        if word in intensity:
-            families.setdefault(lexicon.folded_intensity_family(word), []).append(i)
+    for i in _hits(store, INTENSITY):
+        families.setdefault(lexicon.folded_intensity_family(words[i]), []).append(i)
     out = []
     for family, hits in families.items():
         # A rate that overflows to infinity, from a page estimate near 0,
@@ -350,21 +383,19 @@ def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagn
     """S702: superlatives (including "most <content word>") denser than
     superlative_per_page; praise standing in for argument."""
     lexicon, store = doc.lexicon, doc.store
-    words = store.word_lower
+    words, bounds = store.word_lower, store.sentence_word
     superlatives, stopwords = lexicon.superlatives, lexicon.stopwords
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
     hits: list[tuple[int, int]] = []  # word index ranges
-    for lo, hi in pairwise(store.sentence_word):
-        forms = words[lo:hi]
-        if superlatives.isdisjoint(forms) and "most" not in forms:
-            continue
-        for i in range(lo, hi):
-            if words[i] in superlatives:
-                hits.append((i, i + 1))
-            elif words[i] == "most" and i + 1 < hi and words[i + 1] not in stopwords:
-                hits.append((i, i + 2))
+    for i in _hits(store, SUPERLATIVE):
+        if words[i] in superlatives:
+            hits.append((i, i + 1))
+        # "most" before a content word of its sentence
+        elif (words[i] == "most" and i + 1 < bounds[bisect_right(bounds, i)]
+              and words[i + 1] not in stopwords):
+            hits.append((i, i + 2))
     if not hits:
         return []
     rate = len(hits) / pages

@@ -19,14 +19,14 @@ Conventions the rest of the package relies on:
 
 One parse fills one TokenStore: flat arrays of the body tokens (a token is
 an offset range into the source and a kind code, not an object), of the
-words' lowercase forms and content stems, and of the sentence and paragraph
-bounds. TokenStore.scan runs no Python code per token: one findall cuts the
-text into chunks, and one fold table (WordFold), which the parses share,
-maps each distinct chunk to its kind, length, form and stem; an entry
-depends only on the chunk, the stopwords and the pure stem, so a warm table
-gives what a fresh one gives. In markdown
-one regex (_STRUCTURE_RE) finds the headings and definitions; plain text
-has none. The parse scans each run of body text between two of them once,
+words' lowercase forms, content stems and class bytes (Lexicon.word_class),
+and of the sentence and paragraph bounds. TokenStore.scan runs no Python
+code per token: one findall cuts the text into chunks, and one fold table
+(WordFold), which the parses share, maps each distinct chunk to its kind,
+length, form, stem and class byte; an entry depends only on the chunk, the
+lexicon and the pure stem, so a warm table gives what a fresh one gives. In
+markdown one regex (_STRUCTURE_RE) finds the headings and definitions; plain
+text has none. The parse scans each run of body text between two of them once,
 cuts it into paragraphs at the blank lines and into sentences on the
 terminator kind code (STOP_CODE), and builds no object per sentence or
 paragraph: Section.paragraphs, Paragraph.sentences, the spans and
@@ -128,9 +128,9 @@ _PIECE = 16_384
 # one in 8-byte arrays ("q"): "l" is 8 bytes on Linux but 4 on Windows.
 _OFFSET_LIMIT = 1 << 31
 # The fields of a WordFold entry.
-_CODE, _LENGTH, _FORM, _STEM = map(itemgetter, range(4))
+_CODE, _LENGTH, _FORM, _STEM, _CLASS = map(itemgetter, range(5))
 # bytes.translate table: 1 for the WORD kind code, 0 for every other code.
-_IS_WORD = bytes(code == WORD_CODE for code in range(256))
+_IS_WORD = bytes(map(WORD_CODE.__eq__, range(256)))
 # The kind codes of the single-character marks that have codes of their own.
 _MARK_CODES = {",": COMMA_CODE, ".": STOP_CODE, "!": STOP_CODE, "?": STOP_CODE}
 
@@ -138,61 +138,74 @@ _MARK_CODES = {",": COMMA_CODE, ".": STOP_CODE, "!": STOP_CODE, "?": STOP_CODE}
 class WordFold(dict):
     """The fold table the scans share: a chunk of source text (a token, maybe
     with whitespace before it) maps to (kind code, token length, lowercase
-    form, content stem). The form and the stem are None but for a WORD
-    token, and the stem is None for a stopword too. A chunk is folded at its
-    first lookup: with whitespace in front it takes its token's entry, and a
-    word's lowercase form is kept as a key of its own, so all spellings of a
-    form share one lowercase string, one stopword test and one stem call."""
+    form, content stem, class byte), for the table's lexicon. The form and
+    the stem are None and the class byte is 0 but for a WORD token, and the
+    stem is None for a stopword too. A chunk is folded at its first lookup:
+    with whitespace in front it takes its token's entry, and a word's
+    lowercase form is kept as a key of its own, so all spellings of a form
+    share one lowercase string, one stopword test, one stem call and one
+    class byte. chars counts the characters of the keys."""
 
-    __slots__ = ("stopwords",)
+    __slots__ = ("lexicon", "chars")
 
-    def __init__(self, stopwords: frozenset[str]):
-        self.stopwords = stopwords
+    def __init__(self, lexicon: Lexicon):
+        self.lexicon = lexicon
+        self.chars = 0
 
     def __missing__(self, chunk: str) -> tuple:
         token = chunk.lstrip()
         if len(token) < len(chunk):
             entry = self[token]
         elif _MARKER_RE.fullmatch(chunk):
-            entry = (MARKER_CODE, len(chunk), None, None)
+            entry = (MARKER_CODE, len(chunk), None, None, 0)
         elif len(chunk) == 1 and not chunk.isalnum():
             # A word-like token starts with a letter or digit ([^\W_] is
             # isalnum), so a single other character is a mark.
-            entry = (_MARK_CODES.get(chunk, PUNCTUATION_CODE), 1, None, None)
+            entry = (_MARK_CODES.get(chunk, PUNCTUATION_CODE), 1, None, None, 0)
         elif not _HAS_LETTER_RE.search(chunk):
-            entry = (NUMBER_CODE, len(chunk), None, None)
+            entry = (NUMBER_CODE, len(chunk), None, None, 0)
         else:
             lower = chunk.lower()
             form = self.get(lower)
             if form is None:
+                lexicon = self.lexicon
                 # stem is called through this module's name, so that a
                 # wrapper put in its place sees every call.
                 form = self[lower] = (WORD_CODE, len(lower), lower,
-                                      None if lower in self.stopwords else stem(lower))
+                                      None if lower in lexicon.stopwords else stem(lower),
+                                      lexicon.word_class(lower))
+                self.chars += len(lower)
             # Lowercasing can change the length ("İ" becomes two code
             # points), and the entry holds the chunk's own.
             entry = form if form[1] == len(chunk) else (WORD_CODE, len(chunk), *form[2:])
         self[chunk] = entry
+        self.chars += len(chunk)
         return entry
 
 
-# The scans share one fold table, for the stopwords of the last scan. A scan
-# that leaves it over _FOLD_LIMIT entries replaces it, never clears it (a scan
-# in another thread keeps its own). At ~130 B an entry (0.59 MB for the 4,529
-# of the seed-1 benchmark monograph, by tracemalloc) that caps it near 8.5 MB.
+# The scans share one fold table, for the lexicon of the last scan. A scan
+# that leaves it over _FOLD_LIMIT entries or _FOLD_CHARS characters of keys
+# replaces it, never clears it (a scan in another thread keeps its own). At
+# ~130 B an entry (0.62 MB for the 4,851 that a scan of the seed-1 benchmark
+# monograph leaves, by tracemalloc, with keys of ~10 characters) that caps it
+# near 8.5 MB. The character bound keeps long keys, as when a run of
+# whitespace stands before each token and each chunk is a key of its own,
+# from multiplying that size.
 _FOLD_LIMIT = 1 << 16
-_fold = WordFold(frozenset())
+_FOLD_CHARS = 1 << 19
+_fold = WordFold(default_lexicon())
 
 
-def _shared_fold(stopwords: frozenset[str]) -> WordFold:
-    """The shared fold table, replaced if full or for other stopwords."""
+def _shared_fold(lexicon: Lexicon) -> WordFold:
+    """The shared fold table, replaced if full or for another lexicon."""
     global _fold
     fold = _fold
-    if len(fold) > _FOLD_LIMIT or (fold.stopwords is not stopwords and fold.stopwords != stopwords):
-        fold = _fold = WordFold(stopwords)
-    # A set equal to the table's but another object replaces it on the table,
-    # so that later scans with that set pass the identity test.
-    fold.stopwords = stopwords
+    if (len(fold) > _FOLD_LIMIT or fold.chars > _FOLD_CHARS
+            or (fold.lexicon is not lexicon and fold.lexicon != lexicon)):
+        fold = _fold = WordFold(lexicon)
+    # A lexicon equal to the table's but another object replaces it on the
+    # table, so that later scans with that lexicon pass the identity test.
+    fold.lexicon = lexicon
     return fold
 
 
@@ -203,8 +216,9 @@ class TokenStore:
 
     Token i is ``source[start[i]:end[i]]`` of kind ``KINDS[kind[i]]``. Word i
     (the i-th WORD token) is token ``word_token[i]``; ``word_lower[i]`` is its
-    lowercase form, one string per form, and ``word_stem[i]`` its content
-    stem, or None for a stopword. Sentence i is tokens ``sentence_token[i]``
+    lowercase form, one string per form, ``word_stem[i]`` its content stem,
+    or None for a stopword, and ``word_class[i]`` its class byte
+    (Lexicon.word_class). Sentence i is tokens ``sentence_token[i]``
     up to ``sentence_token[i + 1]`` and likewise words in ``sentence_word``;
     paragraph p is sentences ``paragraph_sentence[p]`` up to ``[p + 1]``; each
     of the three ends with a closing sentinel. A parse fills sentence_word
@@ -215,7 +229,8 @@ class TokenStore:
     """
 
     __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_stem",
-                 "word_token", "sentence_token", "sentence_word", "paragraph_sentence")
+                 "word_class", "word_token", "sentence_token", "sentence_word",
+                 "paragraph_sentence")
 
     def __init__(self, source: str):
         self.source = source
@@ -227,15 +242,16 @@ class TokenStore:
         self.kind = bytearray()
         self.word_lower: list[str] = []
         self.word_stem: list[str | None] = []
+        self.word_class = bytearray()
         self.word_token = array(typecode)
         self.sentence_token = array(typecode, [0])
         self.sentence_word = array(typecode, [0])
         self.paragraph_sentence = array(typecode, [0])
 
-    def scan(self, start: int, end: int, stopwords: frozenset[str]) -> None:
+    def scan(self, start: int, end: int, lexicon: Lexicon) -> None:
         """Append the tokens of source[start:end], and for each WORD token
-        its token index, its lowercase form and its content stem, as the
-        shared fold table for stopwords gives them.
+        its token index, its lowercase form, its content stem and its class
+        byte, as the shared fold table for the lexicon gives them.
 
         No Python code runs per token, but for chunks the fold has not seen.
         One findall cuts a piece of the range into chunks; the fold maps each
@@ -249,7 +265,7 @@ class TokenStore:
         # try every position of a trailing whitespace run again.
         while end > start and source[end - 1].isspace():
             end -= 1
-        fold = _shared_fold(stopwords)
+        fold = _shared_fold(lexicon)
         while start < end:
             cut = end
             if end - start > _PIECE:
@@ -259,8 +275,8 @@ class TokenStore:
             first = len(kinds)
             chunks = _CHUNK_RE.findall(source, start, cut)
             entries = list(map(fold.__getitem__, chunks))
-            if len(fold) > _FOLD_LIMIT:
-                fold = _shared_fold(stopwords)
+            if len(fold) > _FOLD_LIMIT or fold.chars > _FOLD_CHARS:
+                fold = _shared_fold(lexicon)
             # A chunk ends where its token does. (array.fromlist takes a
             # list faster than array.extend takes an iterator.)
             piece_ends = list(accumulate(map(len, chunks), initial=start))
@@ -274,6 +290,7 @@ class TokenStore:
             words = list(compress(entries, is_word))
             self.word_lower += map(_FORM, words)
             self.word_stem += map(_STEM, words)
+            self.word_class.extend(map(_CLASS, words))
             start = cut
 
     def span(self, start: int, end: int) -> Span:
@@ -423,10 +440,10 @@ class Document:
 
 
 def scan_text(text: str, lexicon: Lexicon) -> TokenStore:
-    """A TokenStore of all of text, its words folded with the lexicon's
-    stopwords as a parse folds them."""
+    """A TokenStore of all of text, its words folded with the lexicon as a
+    parse folds them."""
     store = TokenStore(text)
-    store.scan(0, len(text), lexicon.stopwords)
+    store.scan(0, len(text), lexicon)
     return store
 
 
@@ -452,7 +469,7 @@ def _ends_with_abbreviation(source: str, end: int, abbreviations: dict[int, set[
     return False
 
 
-def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[str],
+def _paragraphs(store: TokenStore, start: int, end: int, lexicon: Lexicon,
                 abbreviations: dict[int, set[str]]) -> None:
     """Scan source[start:end], a run of body text, cut its tokens into
     paragraphs at the blank lines and each paragraph into sentences, and
@@ -460,7 +477,7 @@ def _paragraphs(store: TokenStore, start: int, end: int, stopwords: frozenset[st
     source, starts, ends, kind = store.source, store.start, store.end, store.kind
     sentence_token = store.sentence_token
     first_token = len(kind)
-    store.scan(start, end, stopwords)
+    store.scan(start, end, lexicon)
     last_token = len(kind)
     # A paragraph starts at the run's first token and at each token after a
     # blank line. Tokens hold no whitespace, so a blank line lies in a gap.
@@ -498,7 +515,6 @@ def parse_document(source: str, format: str = MARKDOWN, *,
         raise ValueError("words_per_page must be positive")
     lexicon = lexicon or default_lexicon()
     store = TokenStore(source)
-    stopwords = lexicon.stopwords
     abbreviations: dict[int, set[str]] = {}  # by length
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
@@ -513,7 +529,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
     pos = 0
     if format == MARKDOWN:
         for line in _STRUCTURE_RE.finditer(source):
-            _paragraphs(store, pos, line.start(), stopwords, abbreviations)
+            _paragraphs(store, pos, line.start(), lexicon, abbreviations)
             hashes, heading, fid, body = line.groups()
             # Markers count in the body text and in headings, not in definitions.
             marked_end = line.end() if hashes else line.start()
@@ -532,7 +548,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                     f"duplicate footnote definition [^{fid}]", fid, defs[fid])
             defs[fid] = store.span(line.start(4), line.start(4) + len(body))
         markers += [m.span() for m in _MARKER_RE.finditer(source, pos)]
-    _paragraphs(store, pos, len(source), stopwords, abbreviations)
+    _paragraphs(store, pos, len(source), lexicon, abbreviations)
     # A sentence's first word is the count of WORD tokens before its first
     # token (see TokenStore). extend, unlike fromlist, holds no list of them.
     bounds = store.sentence_token

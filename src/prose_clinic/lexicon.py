@@ -8,8 +8,12 @@ form against a set (``word.lower() in lexicon.be_forms``): the parse folds
 each distinct word form to lowercase once (TokenStore.word_lower), and the
 detectors test those forms. The two tests that are more than a set lookup
 each live in one helper that takes a lowercase form
-(is_folded_nominalization, folded_intensity_family). The tables can be
-extended from a plain-text file, see load_lexicon_extensions.
+(is_folded_nominalization, folded_intensity_family). Lexicon.word_class
+gathers the tests the detectors look for into one class byte per form, one
+bit per class (BE_FORM ... GERUND); the parse keeps it beside the form
+(TokenStore.word_class), so the detectors find their words with a C-level
+scan of those bytes. The tables can be extended from a plain-text file, see
+load_lexicon_extensions.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ _NOMINALIZATION_SUFFIXES = ("tion", "sion", "ment", "ence", "ance", "ity", "izat
 _INTENSITY_WORDS = frozenset(
     "important importantly significantly interestingly crucially notably".split()
 )
+
+# The bits of a class byte (Lexicon.word_class).
+(BE_FORM, NOMINALIZATION, CONNECTOR, SUBORDINATOR, DEMONSTRATIVE, INTENSITY, SUPERLATIVE,
+ GERUND) = (1, 2, 4, 8, 16, 32, 64, 128)
 
 _SUPERLATIVES = frozenset(
     """
@@ -108,6 +116,23 @@ class Lexicon:
         enough (>= 7 characters) and carries one of the noun-making
         suffixes; short nouns like "nation" do not qualify."""
         return len(form) >= 7 and form.endswith(self.nominalization_suffixes)
+
+    def word_class(self, form: str) -> int:
+        """The class byte of a lowercase form: BE_FORM; NOMINALIZATION;
+        CONNECTOR (coordinating, subordinating or conjunctive adverb);
+        SUBORDINATOR (subordinating and not coordinating: a word in both
+        joins clauses of equal rank); DEMONSTRATIVE; INTENSITY; SUPERLATIVE
+        for a superlative or "most"; GERUND for an -ing word of five
+        letters or more."""
+        return (BE_FORM * (form in self.be_forms)
+                | NOMINALIZATION * self.is_folded_nominalization(form)
+                | CONNECTOR * (form in self.coordinating or form in self.subordinating
+                               or form in self.conjunctive_adverbs)
+                | SUBORDINATOR * (form in self.subordinating and form not in self.coordinating)
+                | DEMONSTRATIVE * (form in self.demonstratives)
+                | INTENSITY * (form in self.intensity_words)
+                | SUPERLATIVE * (form in self.superlatives or form == "most")
+                | GERUND * (form.endswith("ing") and len(form) >= 5))
 
     def folded_intensity_family(self, form: str) -> str:
         """The family key of a lowercase intensity form. Adverb and adjective

@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import sys
 import threading
@@ -6,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import pairwise
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from prose_clinic import document
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import RULE_IDS, run_all
+from prose_clinic.detectors import RULE_IDS, Diagnostic, run_all
 from prose_clinic.document import (
     FOOTNOTE_MARKER,
     FORMATS,
@@ -26,7 +28,7 @@ from prose_clinic.document import (
     scan_text,
     tokenize,
 )
-from prose_clinic.lexicon import default_lexicon, load_lexicon_extensions, stem
+from prose_clinic.lexicon import SUPERLATIVE, default_lexicon, load_lexicon_extensions, stem
 from prose_clinic.maladies import RELEVANCE_EVIDENCE, extract_keywords, infer_maladies
 from prose_clinic.reporting import build_report, parse_machine, render_machine
 
@@ -446,6 +448,8 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
     assert len(store.word_stem) == len(store.word_lower)
     assert store.word_stem == [None if form in lexicon.stopwords else stem(form)
                                for form in store.word_lower]
+    # One class byte per word, the form's.
+    assert store.word_class == bytes(map(lexicon.word_class, store.word_lower))
     for note in doc.footnotes:
         for span in (note.marker_span, note.body_span):
             assert 0 <= span.start_byte < span.end_byte <= len(text)
@@ -466,8 +470,8 @@ _TOKEN_RE = re.compile(
 
 
 class _ReferenceFold(dict):
-    def __init__(self, stopwords):
-        self.stopwords = stopwords
+    def __init__(self, lexicon):
+        self.lexicon = lexicon
 
     def __missing__(self, text):
         if not re.search(r"[^\W\d_]", text):
@@ -476,7 +480,9 @@ class _ReferenceFold(dict):
             lower = text.lower()
             entry = self.get(lower)
             if entry is None:
-                entry = self[lower] = (lower, None if lower in self.stopwords else stem(lower))
+                entry = self[lower] = (lower,
+                                       None if lower in self.lexicon.stopwords else stem(lower),
+                                       self.lexicon.word_class(lower))
         self[text] = entry
         return entry
 
@@ -485,7 +491,7 @@ class _ReferenceStore:
     def __init__(self, source):
         self.source = source
         self.start, self.end, self.kind = [], [], []
-        self.word_lower, self.word_stem, self.word_token = [], [], []
+        self.word_lower, self.word_stem, self.word_class, self.word_token = [], [], [], []
         self.sentence_token, self.sentence_word, self.paragraph_sentence = [0], [0], [0]
 
     def scan(self, start, end, fold):
@@ -500,10 +506,11 @@ class _ReferenceStore:
                 words += 1
                 entry = fold[m.group()]
                 if entry:
-                    lower, word_stem = entry
+                    lower, word_stem, word_class = entry
                     self.word_token.append(len(self.kind))
                     self.word_lower.append(lower)
                     self.word_stem.append(word_stem)
+                    self.word_class.append(word_class)
                     self.kind.append(document.WORD_CODE)
                 else:
                     self.kind.append(document.NUMBER_CODE)
@@ -548,8 +555,8 @@ def _reference_sentence_bounds(source, start, end, abbreviations):
 
 def _store_arrays(store):
     return {name: list(getattr(store, name))
-            for name in ("start", "end", "kind", "word_lower", "word_stem", "word_token",
-                         "sentence_token", "sentence_word", "paragraph_sentence")}
+            for name in ("start", "end", "kind", "word_lower", "word_stem", "word_class",
+                         "word_token", "sentence_token", "sentence_word", "paragraph_sentence")}
 
 
 # Text that stresses the scan: whitespace that is not ASCII (vertical tab,
@@ -579,7 +586,7 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
         store = scan_text(text, lexicon)
         doc = _parse_or_none(text, fmt, lexicon)
     reference = _ReferenceStore(text)
-    reference.scan(0, len(text), _ReferenceFold(lexicon.stopwords))
+    reference.scan(0, len(text), _ReferenceFold(lexicon))
     assert _store_arrays(store) == _store_arrays(reference)
     if doc is None:
         return
@@ -587,7 +594,7 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
     # share of the run's tokens and words: scanning the sentences one at a
     # time gives the same store.
     reference = _ReferenceStore(text)
-    fold = _ReferenceFold(lexicon.stopwords)
+    fold = _ReferenceFold(lexicon)
     by_length = {}
     for abbr in abbreviations:
         by_length.setdefault(len(abbr), set()).add(abbr)
@@ -649,7 +656,7 @@ def _reference_parse(source, fmt, *, lexicon):
         if not block:
             return
         first_token, first_word = len(kind), len(word_token)
-        store.scan(block[0], block[1], lexicon.stopwords)
+        store.scan(block[0], block[1], lexicon)
         block.clear()
         last_token, last_word = len(kind), len(word_token)
         cuts = []
@@ -930,6 +937,229 @@ def test_findings_ignore_the_case_of_inner_letters(text, fmt, cfg):
             == infer_maladies(doc, diagnostics, cfg))
 
 
+# The detectors that look for words of a lexicon class, as they were before
+# the scan gave each word a class byte: a walk over every sentence or every
+# word that tests the lowercase forms against the lexicon's sets. run_all is
+# compared with them.
+def _reference_signals_link(words, cfg, lexicon):
+    window = words[:cfg.link_window_tokens]
+    return not (lexicon.coordinating.isdisjoint(window)
+                and lexicon.subordinating.isdisjoint(window)
+                and lexicon.conjunctive_adverbs.isdisjoint(window)
+                and lexicon.demonstratives.isdisjoint(words))
+
+
+def _reference_hidden_verb(doc, cfg):
+    lexicon, store = doc.lexicon, doc.store
+    words = store.word_lower
+    out = []
+    for sentence, (lo, hi) in enumerate(pairwise(store.sentence_word)):
+        if lexicon.be_forms.isdisjoint(words[lo:hi]):
+            continue
+        be = next(i for i in range(lo, hi) if words[i] in lexicon.be_forms)
+        noms = [i for i in range(lo, hi) if lexicon.is_folded_nominalization(words[i])]
+        gerund = None
+        for i in range(lo, hi - 2):
+            mid = words[i + 1]
+            if (words[i] == "the" and words[i + 2] == "of"
+                    and mid.endswith("ing") and len(mid) >= 5):
+                gerund = i
+                break
+        signals = len(noms) + (2 if gerund is not None else 0)
+        if signals < 2:
+            continue
+        evidence = [store.word_span(i) for i in [be, *noms]]
+        if gerund is not None:
+            evidence.append(store.word_span(gerund, gerund + 3))
+        out.append(Diagnostic(
+            "S102", store.sentence_span(sentence), signals, 2,
+            "a form of 'to be' plus noun-made actions hides the verb; "
+            "let the action be the verb", tuple(evidence)))
+    return out
+
+
+def _reference_comma_segments(store, i):
+    kind = store.kind
+    pos, end = store.sentence_token[i], store.sentence_token[i + 1]
+    comma = kind.find(document.COMMA_CODE, pos, end)
+    if comma < 0:
+        return []
+    segments = []
+    word = store.sentence_word[i]
+    while pos <= end:
+        stop = end if comma < 0 else comma
+        words = kind.count(document.WORD_CODE, pos, stop)
+        segments.append(([i for i in range(pos, stop) if kind[i] < document.PUNCTUATION_CODE],
+                         word, word + words))
+        word += words
+        pos = stop + 1
+        comma = kind.find(document.COMMA_CODE, pos, end)
+    return segments
+
+
+def _reference_broken_core(doc, cfg):
+    lexicon, store = doc.lexicon, doc.store
+    words = store.word_lower
+    connectors = lexicon.coordinating | lexicon.subordinating | lexicon.conjunctive_adverbs
+    subordinators = lexicon.subordinating - lexicon.coordinating
+    out = []
+    for sentence in range(len(store.sentence_token) - 1):
+        segments = _reference_comma_segments(store, sentence)
+        span = None
+        if len(segments) >= 3:
+            (prefix, lo, _), (insertion, _, _) = segments[:2]
+            if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
+                    and (words[lo] if store.kind[prefix[0]] == document.WORD_CODE
+                         else store.source[store.start[prefix[0]]:store.end[prefix[0]]])
+                    not in connectors
+                    and len(insertion) >= cfg.min_insertion_words
+                    and any(countable for countable, _, _ in segments[2:])):
+                span = store.sentence_span(sentence)
+                out.append(Diagnostic(
+                    "S103", span, len(insertion), cfg.min_insertion_words,
+                    f"subject-verb core interrupted by a {len(insertion)}-word insertion",
+                    (store.token_span(insertion[0], insertion[-1] + 1),)))
+        if len(segments) >= 2:
+            total = 0
+            leads = []
+            for countable, lo, hi in segments:
+                if countable and any(w in subordinators or (w.endswith("ing") and len(w) >= 5)
+                                     for w in words[lo:min(hi, lo + 2)]):
+                    total += len(countable)
+                    leads.append((countable[0], countable[-1] + 1))
+                else:
+                    break
+            if leads and total >= cfg.max_delay_words:
+                out.append(Diagnostic(
+                    "S103", span or store.sentence_span(sentence), total, cfg.max_delay_words,
+                    f"subject-verb core delayed by {total} words of leading clauses",
+                    tuple([store.token_span(i, j) for i, j in leads])))
+    return out
+
+
+def _reference_missing_link(doc, cfg):
+    store = doc.store
+    words, stems, bounds = store.word_lower, store.word_stem, store.sentence_word
+    out = []
+    last, span = -1, None
+    for first, end in pairwise(store.paragraph_sentence):
+        for cur in range(first + 1, end):
+            if _reference_signals_link(words[bounds[cur]:bounds[cur + 1]], cfg, doc.lexicon):
+                continue
+            prev = cur - 1
+            if set(filter(None, stems[bounds[prev]:bounds[prev + 1]])).isdisjoint(
+                    stems[bounds[cur]:bounds[cur + 1]]):
+                evidence = span if prev == last else store.sentence_span(prev)
+                last, span = cur, store.sentence_span(cur)
+                out.append(Diagnostic(
+                    "S201", span, 0, 1, "no explicit link to the previous sentence (no "
+                    "leading connector, repeated key term, or demonstrative)", (evidence, span)))
+    return out
+
+
+def _reference_leading_detail(doc, cfg):
+    store = doc.store
+    words, bounds = store.word_lower, store.sentence_word
+    out = []
+    for first, end in pairwise(store.paragraph_sentence):
+        if end - first < 4:
+            continue
+        numbers = [i for i in range(store.sentence_token[first], store.sentence_token[first + 1])
+                   if store.kind[i] == document.NUMBER_CODE]
+        if not numbers or _reference_signals_link(words[bounds[first]:bounds[first + 1]], cfg,
+                                                  doc.lexicon):
+            continue
+        out.append(Diagnostic(
+            "S302", store.sentence_span(first), len(numbers), 0,
+            "paragraph opens on numeric detail; open with the point the numbers support",
+            tuple([store.token_span(i) for i in numbers])))
+    return out
+
+
+def _reference_intensity_overuse(doc, cfg):
+    lexicon, store = doc.lexicon, doc.store
+    pages = doc.total_words / cfg.words_per_page
+    if pages <= 0:
+        return []
+    families = {}
+    for i, word in enumerate(store.word_lower):
+        if word in lexicon.intensity_words:
+            families.setdefault(lexicon.folded_intensity_family(word), []).append(i)
+    out = []
+    for family, hits in families.items():
+        rate = len(hits) / pages
+        if cfg.intensity_per_page < rate < math.inf:
+            out.append(Diagnostic(
+                "S701", store.word_span(hits[0]), rate, cfg.intensity_per_page,
+                f"'{family}' and kin appear {len(hits)} times in an estimated "
+                f"{pages:.1f} pages; swapping in synonyms will not help",
+                tuple([store.word_span(i) for i in hits])))
+    return out
+
+
+def _reference_superlative_density(doc, cfg):
+    lexicon, store = doc.lexicon, doc.store
+    words = store.word_lower
+    pages = doc.total_words / cfg.words_per_page
+    if pages <= 0:
+        return []
+    hits = []
+    for lo, hi in pairwise(store.sentence_word):
+        for i in range(lo, hi):
+            if words[i] in lexicon.superlatives:
+                hits.append((i, i + 1))
+            elif words[i] == "most" and i + 1 < hi and words[i + 1] not in lexicon.stopwords:
+                hits.append((i, i + 2))
+    rate = len(hits) / pages
+    if not hits or not cfg.superlative_per_page < rate < math.inf:
+        return []
+    spans = tuple([store.word_span(i, j) for i, j in hits])
+    return [Diagnostic(
+        "S702", spans[0], rate, cfg.superlative_per_page,
+        f"{len(hits)} superlatives in an estimated {pages:.1f} pages reads "
+        f"as rhetoric; answer the reader's logical questions instead", spans)]
+
+
+_REFERENCE_DETECTORS = {
+    "S102": _reference_hidden_verb, "S103": _reference_broken_core,
+    "S201": _reference_missing_link, "S302": _reference_leading_detail,
+    "S701": _reference_intensity_overuse, "S702": _reference_superlative_density,
+}
+
+# Lexicons whose classes overlap: a word in both subordinating and
+# coordinating, which is a connector and opens no lead; "most" as a
+# superlative; and digit strings as connectors, which S103 tests as they
+# stand when they open a sentence.
+_DEFAULT = default_lexicon()
+_CLASS_LEXICONS = st.sampled_from([
+    _DEFAULT,
+    replace(_DEFAULT, subordinating=_DEFAULT.subordinating | {"so", "and"},
+            coordinating=_DEFAULT.coordinating | {"although", "while"}),
+    replace(_DEFAULT, superlatives=_DEFAULT.superlatives | {"most"}),
+    replace(_DEFAULT, conjunctive_adverbs=_DEFAULT.conjunctive_adverbs | {"42", "1974-1994"},
+            subordinating=_DEFAULT.subordinating | {"0.35"}),
+])
+
+
+@settings(deadline=None)
+@example("42, the lens that we ground by hand over many long nights, failed. "
+         "Although the cold rain fell on the town, working through the long wet night "
+         "with care, the crew held the line. ", "plain", AnalysisConfig(), 1,
+         replace(_DEFAULT, conjunctive_adverbs=_DEFAULT.conjunctive_adverbs | {"42"},
+                 coordinating=_DEFAULT.coordinating | {"although"}))
+@given(st.one_of(_RULE_TEXT, _CASE_TEXT), st.sampled_from(FORMATS), _CONFIGS,
+       st.sampled_from([None, 1, 50]), _CLASS_LEXICONS)
+def test_class_driven_detectors_equal_their_references(text, fmt, cfg, window, lexicon):
+    if window is not None:
+        cfg = replace(cfg, link_window_tokens=window)
+    doc = _parse_or_none(text, fmt, lexicon)
+    if doc is None:
+        return
+    expected = [d for rule_id, detect in _REFERENCE_DETECTORS.items() for d in detect(doc, cfg)]
+    expected.sort(key=lambda d: (d.span.start_byte, d.rule_id))
+    assert run_all(doc, cfg, rules=_REFERENCE_DETECTORS) == expected
+
+
 def _keywords_by_tokenize(doc, cfg):
     """extract_keywords as it was computed from tokenize: the heading's WORD
     tokens, stopwords dropped, each stemmed as it stands."""
@@ -944,13 +1174,22 @@ def _keywords_by_tokenize(doc, cfg):
     return tuple(sorted(counts, key=lambda s: (-counts[s], s))[:cfg.keyword_count])
 
 
-# The default lexicon, and one where some of _TEXT's capitalised and
-# non-ASCII words are stopwords, so that the heading's stopword test sees
-# folded forms.
+# The default lexicon; one where some of _TEXT's capitalised and non-ASCII
+# words are stopwords, so that the heading's stopword test sees folded
+# forms; and one with the default stopwords where such words, and "most",
+# are in other classes, so that a fold table kept for the stopwords alone
+# gives them the classes of another lexicon.
+_CLASSED = replace(
+    default_lexicon(),
+    coordinating=default_lexicon().coordinating | {"alpha"},
+    demonstratives=default_lexicon().demonstratives | {"ångström"},
+    superlatives=default_lexicon().superlatives | {"model", "most"},
+    intensity_words=default_lexicon().intensity_words | {"i\u0307s"})
 _LEXICONS = st.sampled_from([
     default_lexicon(),
     replace(default_lexicon(),
             stopwords=default_lexicon().stopwords | {"alpha", "ångström", "i\u0307s", "model"}),
+    _CLASSED,
 ])
 
 
@@ -1132,7 +1371,7 @@ _WARMING_TEXT = st.one_of(
 def _fresh_fold():
     """Patches the module's shared fold table with an empty one, so that a
     parse inside the block starts cold."""
-    return mock.patch.object(document, "_fold", document.WordFold(frozenset()))
+    return mock.patch.object(document, "_fold", document.WordFold(default_lexicon()))
 
 
 def _parse_facts(doc, cfg):
@@ -1149,10 +1388,13 @@ def _parse_facts(doc, cfg):
 # chunk's own length, not the form's.
 @example("Alpha", "İs", "", str.upper, default_lexicon(), default_lexicon(), "plain",
          AnalysisConfig())
+# The stopwords agree and the classes do not: the table is replaced.
+@example("Alpha", "The model is the most durable.", "", str.upper, default_lexicon(), _CLASSED,
+         "plain", AnalysisConfig())
 def test_a_warm_fold_table_parses_as_a_fresh_one(heading, body, other, recase, first_lexicon,
                                                   lexicon, fmt, cfg):
     # The fold table is kept across parses: a parse of B after a parse of A,
-    # with the same stopwords or others, gives what a parse of B on a fresh
+    # with the same lexicon or another, gives what a parse of B on a fresh
     # table gives. A is drawn on its own or is B in other cases, so that the
     # warm table holds other spellings of B's forms.
     second = f"# {heading}\n\n{body}"
@@ -1182,7 +1424,7 @@ def test_the_fold_table_stays_within_its_bound(monkeypatch):
             expected.append(_parse_facts(parse_document(text, "plain"), cfg))
     monkeypatch.setattr(document, "_FOLD_LIMIT", 50)
     monkeypatch.setattr(document, "_PIECE", 64)
-    monkeypatch.setattr(document, "_fold", document.WordFold(frozenset()))
+    monkeypatch.setattr(document, "_fold", document.WordFold(default_lexicon()))
     tables = []
     for text, facts in zip(texts, expected):
         doc = parse_document(text, "plain")
@@ -1196,10 +1438,13 @@ def test_the_fold_table_stays_within_its_bound(monkeypatch):
 
 
 def test_a_scan_with_other_stopwords_replaces_the_fold_table():
-    # One slot: the table folds with the stopwords of the last scan, and a
-    # scan with an equal set keeps it.
+    # One slot: the table folds with the lexicon of the last scan, and a
+    # scan with an equal lexicon keeps it. A lexicon with other stopwords,
+    # or with the same stopwords and other classes, replaces it.
     other = replace(default_lexicon(), stopwords=default_lexicon().stopwords | {"model"})
     equal = replace(default_lexicon(), stopwords=frozenset(list(default_lexicon().stopwords)))
+    classed = replace(default_lexicon(),
+                      superlatives=default_lexicon().superlatives | {"model"})
     with _fresh_fold():
         assert scan_text("The model", default_lexicon()).word_stem == [None, "model"]
         table = document._fold
@@ -1207,22 +1452,48 @@ def test_a_scan_with_other_stopwords_replaces_the_fold_table():
         assert document._fold is table
         assert scan_text("The model", other).word_stem == [None, None]
         assert document._fold is not table
-        assert document._fold.stopwords == other.stopwords
+        assert document._fold.lexicon == other
+        table = document._fold
+        assert scan_text("The model", classed).word_class == bytes([0, SUPERLATIVE])
+        assert document._fold is not table
+        assert document._fold.lexicon == classed
 
 
 def test_a_scan_with_an_equal_stopword_set_keeps_the_table_and_takes_the_set():
-    # The table takes the equal set, so that the scans after it pass the
-    # identity test and do not compare the sets again.
+    # The table takes the equal lexicon, and with it the equal set, so that
+    # the scans after it pass the identity test and do not compare the
+    # lexicons again.
     # frozenset of a frozenset is the same object; of a list it is a copy.
     equal = replace(default_lexicon(), stopwords=frozenset(list(default_lexicon().stopwords)))
     assert equal.stopwords is not default_lexicon().stopwords
+    assert equal == default_lexicon() and equal is not default_lexicon()
     with _fresh_fold():
         parse_document("The model grows.", "plain")
         table = document._fold
         doc = parse_document("The model grows.", "plain", lexicon=equal)
         assert document._fold is table
-        assert document._fold.stopwords is equal.stopwords
+        assert document._fold.lexicon is equal
+        assert document._fold.lexicon.stopwords is equal.stopwords
     assert doc.store.word_stem == [None, "model", "grow"]
+
+
+def test_long_keys_keep_the_fold_table_within_its_cap():
+    # A run of whitespace before each token makes each chunk a key of its
+    # own, ~70 characters long, beside the word's token and form: the 60,000
+    # keys stay under the entry bound, and would hold ~9.4 MB, but the
+    # table is replaced by the characters they hold before it passes the
+    # ~8.5 MB cap that the entry bound sets for keys of ~10 characters.
+    text = "".join(f"{' ' * 60}Spore{i}" for i in range(20_000))
+    with _fresh_fold():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scan_text(text, default_lexicon())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert held < 8_500_000
 
 
 def test_threads_that_replace_the_fold_table_parse_as_a_fresh_table_does(monkeypatch):

@@ -4,6 +4,14 @@ from hypothesis import strategies as st
 
 from prose_clinic.document import PLAIN, parse_document
 from prose_clinic.lexicon import (
+    BE_FORM,
+    CONNECTOR,
+    DEMONSTRATIVE,
+    GERUND,
+    INTENSITY,
+    NOMINALIZATION,
+    SUBORDINATOR,
+    SUPERLATIVE,
     LexiconError,
     default_lexicon,
     load_lexicon_extensions,
@@ -155,6 +163,33 @@ def test_intensity_and_superlative_membership(lex):
     assert "noblest" in lex.superlatives
     assert "best" in lex.superlatives
     assert "better" not in lex.superlatives
+
+
+@pytest.mark.parametrize("form,bits", [
+    ("being", BE_FORM | GERUND),
+    ("information", NOMINALIZATION),
+    ("nation", 0),
+    ("and", CONNECTOR),
+    ("although", CONNECTOR | SUBORDINATOR),
+    ("however", CONNECTOR),
+    ("these", DEMONSTRATIVE),
+    ("importantly", INTENSITY),
+    ("best", SUPERLATIVE),
+    ("most", SUPERLATIVE),
+    ("sing", 0),
+    ("making", GERUND),
+    ("telerium", 0),
+])
+def test_word_class_has_a_bit_per_class_of_the_form(lex, form, bits):
+    assert lex.word_class(form) == bits
+
+
+def test_a_word_in_both_subordinating_and_coordinating_is_no_subordinator(tmp_path, lex):
+    path = tmp_path / "both.lex"
+    path.write_text("[coordinating]\nalthough\n[subordinating]\nyet\n", encoding="utf-8")
+    both = load_lexicon_extensions(str(path))
+    assert both.word_class("although") == both.word_class("yet") == CONNECTOR
+    assert lex.word_class("yet") == CONNECTOR
 
 
 def test_extension_file(tmp_path, lex):
