@@ -160,7 +160,7 @@ def test_corpus_trips_every_rule_and_malady():
         assert f" {name} ".encode() in recorded, name
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_equivalence_tool_reproduces_its_recording(seed):
     """tools/equivalence.py on this tree prints the recorded lines of the
     seed: every benchmark input's exit code and stdout digest in both output

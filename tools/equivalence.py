@@ -15,13 +15,15 @@ Two trees whose lines agree give byte-identical output on these inputs. The
 inputs are written to a temporary directory and named by relative paths from
 there, so the output does not depend on where the directory lies.
 
-The seed-1 and seed-2 lines are recorded in tests/golden/equivalence-seed1.txt
-and equivalence-seed2.txt, and a tier-1 test (tests/test_golden.py) compares
+The seed-1, seed-2 and seed-3 lines are recorded in
+tests/golden/equivalence-seed1.txt, equivalence-seed2.txt and
+equivalence-seed3.txt, and a tier-1 test (tests/test_golden.py) compares
 the tree's lines with those files. Record them again only for an intended
 output change:
 
     python3 tools/equivalence.py --seed 1 > tests/golden/equivalence-seed1.txt
     python3 tools/equivalence.py --seed 2 > tests/golden/equivalence-seed2.txt
+    python3 tools/equivalence.py --seed 3 > tests/golden/equivalence-seed3.txt
 """
 
 from __future__ import annotations
