@@ -2,16 +2,19 @@
 
 Each rule is a pure function of (Document, AnalysisConfig) returning located
 diagnostics; word classes come from the lexicon the document was parsed with.
-The rules read the document's flat token arrays (doc.store) by index, not
-the Token views, and build a Span only for what they report. The scan gave
-each word a class byte (store.word_class, see Lexicon.word_class), and the
-rules that look for words of a class (S102, S103, S201, S302, S701, S702)
-find them with a C-level scan of those bytes (_hits), then find each hit's
-sentence by bisection and visit only those hits and sentences. A word's
-other tests read the lowercase form the scan folded it to (store.word_lower),
-and sentences are compared on the content stems of their word ranges
-(store.word_stem, None for a stopword); no rule reads or lowercases a word's
-raw text.
+The rules read the document's flat token arrays (doc.store) by token index,
+not the Token views, and build a Span only for what they report. The scan
+gave each token a class byte (store.word_class, see Lexicon.word_class; 0
+for a token that is not a WORD), and the rules that look for words of a
+class (S102, S103, S201, S302, S701, S702) find them with a C-level scan of
+those bytes (_hits), then find each hit's sentence by bisecting the
+sentence bounds and visit only those hits and sentences. A word is a WORD
+token: a rule that looks at a word's neighbours skips the punctuation and
+NUMBER tokens between them. A rule that tests a word's spelling reads its
+lowercase form at the hit (store.form, the form the scan folded), and
+sentences are compared on the content stems of their token ranges
+(store.stem, None for a stopword and for a token that is not a WORD); no
+rule tests a word's raw text.
 S201 and S401 hand adjacent (prev, cur) sentence pairs to one loop, _breaks,
 which reports each pair that shares no content stem: S201 the pairs in a
 paragraph whose cur shows no link (_linked, which S302 also tests), and S401
@@ -28,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress, pairwise, repeat
-from operator import add, lt, sub
+from operator import sub
 from typing import Callable, NamedTuple
 
 from .config import AnalysisConfig
@@ -68,8 +71,8 @@ def _mask(bits: int) -> bytes:
 
 
 def _hits(store: TokenStore, bits: int, lo: int = 0, hi: int | None = None) -> list[int]:
-    """The indices of the words in [lo, hi) whose class byte has any of
-    bits, in order."""
+    """The indices of the tokens in [lo, hi) whose class byte has any of
+    bits, in order: WORD tokens only, as the others' class byte is 0."""
     marks = store.word_class[lo:hi].translate(_mask(bits))
     hits = []
     i = marks.find(1)
@@ -79,22 +82,24 @@ def _hits(store: TokenStore, bits: int, lo: int = 0, hi: int | None = None) -> l
     return hits
 
 
-def _sentences(store: TokenStore, words: list[int]) -> list[int]:
-    """The index of the sentence that holds each of the words. A sentence
-    without words starts where the next one does, so the last sentence to
-    start at or before a word is the one that holds it."""
-    return list(map(sub, map(bisect_right, repeat(store.sentence_word), words), repeat(1)))
+def _sentences(store: TokenStore, tokens: list[int]) -> list[int]:
+    """The index of the sentence that holds each of the tokens: the last
+    sentence to start at or before it, as every sentence holds a token."""
+    return list(map(sub, map(bisect_right, repeat(store.sentence_token), tokens), repeat(1)))
 
 
 def _linked(store: TokenStore, window: int, lo: int = 0, hi: int | None = None) -> set[int]:
-    """The sentences, among those of the words [lo, hi), that signal a link
-    to the sentence before: a connector among their first `window` words, or
-    a demonstrative anywhere in them."""
-    bounds = store.sentence_word
+    """The sentences, among those of the tokens [lo, hi), that signal a link
+    to the sentence before: a connector among their first `window` words
+    (WORD tokens), or a demonstrative anywhere in them."""
+    kind, bounds = store.kind, store.sentence_token
     connectors = _hits(store, CONNECTOR, lo, hi)
-    sentences = _sentences(store, connectors)
-    ends = map(add, map(bounds.__getitem__, sentences), repeat(window))
-    linked = set(compress(sentences, map(lt, connectors, ends)))
+    linked = set()
+    for i, sentence in zip(connectors, _sentences(store, connectors)):
+        first = bounds[sentence]
+        # Fewer tokens than the window before it leave fewer words too.
+        if i - first < window or kind.count(WORD_CODE, first, i) < window:
+            linked.add(sentence)
     linked.update(_sentences(store, _hits(store, DEMONSTRATIVE, lo, hi)))
     return linked
 
@@ -127,9 +132,10 @@ def detect_long_sentence(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]
 def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S102: a be-form carrying nominalizations, or a "the <gerund> of"
     construction, instead of a strong verb. The gerund is an -ing word of at
-    least five letters."""
+    least five letters, and "the" and "of" are the words before and after it
+    in its sentence."""
     store = doc.store
-    words, bounds = store.word_lower, store.sentence_word
+    kind, bounds = store.kind, store.sentence_token
     out = []
     last = -1  # the sentence of the last be-form
     be_forms = _hits(store, BE_FORM)
@@ -140,15 +146,18 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
         last = sentence
         lo, hi = bounds[sentence], bounds[sentence + 1]
         noms = _hits(store, NOMINALIZATION, lo, hi)
-        # The first gerund between a "the" and an "of".
-        gerund = next((i - 1 for i in _hits(store, GERUND, lo + 1, hi - 1)
-                       if words[i - 1] == "the" and words[i + 1] == "of"), None)
+        gerund = None  # the token range from "the" through "of" of the first gerund
+        for i in _hits(store, GERUND, lo, hi):
+            the, of = kind.rfind(WORD_CODE, lo, i), kind.find(WORD_CODE, i + 1, hi)
+            if the >= 0 and of >= 0 and store.form(the) == "the" and store.form(of) == "of":
+                gerund = the, of + 1
+                break
         signals = len(noms) + (2 if gerund is not None else 0)
         if signals < 2:
             continue
-        evidence = [store.word_span(i) for i in [be, *noms]]
+        evidence = [store.token_span(i) for i in [be, *noms]]
         if gerund is not None:
-            evidence.append(store.word_span(gerund, gerund + 3))
+            evidence.append(store.token_span(*gerund))
         out.append(Diagnostic(
             "S102", store.sentence_span(sentence), signals, 2,
             "a form of 'to be' plus noun-made actions hides the verb; "
@@ -161,18 +170,14 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
 def _comma_segments(store: TokenStore, i: int, comma: int) -> list[tuple[list[int], int, int]]:
     """For each of the comma-separated segments of sentence i, whose first
     comma is token comma, the indices of its countable tokens (words plus
-    numbers, as in sentence word counts) and the range [lo, hi) of its WORD
-    tokens in the store's word arrays."""
+    numbers, as in sentence word counts) and its token range [lo, hi)."""
     kind = store.kind
     pos, end = store.sentence_token[i], store.sentence_token[i + 1]
     segments = []
-    word = store.sentence_word[i]
     while pos <= end:
         stop = end if comma < 0 else comma
-        words = kind.count(WORD_CODE, pos, stop)
         segments.append((list(compress(range(pos, stop), kind[pos:stop].translate(_COUNTABLE))),
-                         word, word + words))
-        word += words
+                         pos, stop))
         pos = stop + 1
         comma = kind.find(COMMA_CODE, pos, end)
     return segments
@@ -195,11 +200,11 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
         comma = kind.find(COMMA_CODE, tokens[sentence + 1])
         span = None  # the sentence's span, built for its first finding
         if len(segments) >= 3:
-            (prefix, lo, _), (insertion, _, _) = segments[:2]
+            (prefix, _, _), (insertion, _, _) = segments[:2]
             # A number has no case to fold, so it is classed as it stands.
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
                     and not CONNECTOR & (
-                        classes[lo] if kind[prefix[0]] == WORD_CODE
+                        classes[prefix[0]] if kind[prefix[0]] == WORD_CODE
                         else lexicon.word_class(store.source[store.start[prefix[0]]:
                                                              store.end[prefix[0]]]))
                     and len(insertion) >= cfg.min_insertion_words
@@ -218,8 +223,10 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
             for countable, lo, hi in segments:
                 # A lead segment opens with a subordinator or an -ing form,
                 # possibly behind one extra word ("even though ...", "and
-                # listening ...").
-                if countable and any(classes[lo:min(hi, lo + 2)].translate(lead)):
+                # listening ..."): fewer than two words come before its
+                # first word of either class.
+                first = classes[lo:hi].translate(lead).find(1)
+                if first >= 0 and kind.count(WORD_CODE, lo, lo + first) < 2:
                     total += len(countable)
                     leads.append((countable[0], countable[-1] + 1))
                 else:
@@ -237,10 +244,10 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
 
 def _breaks(store: TokenStore, rule_id: str, message: str, pairs) -> list[Diagnostic]:
     """A diagnostic for each (prev, cur) pair of sentence indices whose
-    sentences share no content stem (a stopword's slot is None, which is no
-    shared term), naming both. A reported cur that is the next pair's prev
-    lends it its span."""
-    stems, bounds = store.word_stem, store.sentence_word
+    sentences share no content stem (the slot of a stopword, and of a token
+    that is not a WORD, is None, which is no shared term), naming both. A
+    reported cur that is the next pair's prev lends it its span."""
+    stems, bounds = store.stem, store.sentence_token
     out = []
     last, span = -1, None  # the last reported cur and its span
     for prev, cur in pairs:
@@ -287,7 +294,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
     with numbers and never signals a point (no demonstrative, no connector in
     the opening window)."""
     store = doc.store
-    kind, tokens, bounds = store.kind, store.sentence_token, store.sentence_word
+    kind, tokens = store.kind, store.sentence_token
     out = []
     for first, end in pairwise(store.paragraph_sentence):
         if end - first < 4:
@@ -295,7 +302,7 @@ def detect_leading_detail(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic
         numbers = [i for i in range(tokens[first], tokens[first + 1]) if kind[i] == NUMBER_CODE]
         if not numbers:
             continue
-        if _linked(store, cfg.link_window_tokens, bounds[first], bounds[first + 1]):
+        if _linked(store, cfg.link_window_tokens, tokens[first], tokens[first + 1]):
             continue
         out.append(Diagnostic(
             "S302", store.sentence_span(first), len(numbers), 0,
@@ -359,11 +366,10 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
-    # The store holds exactly the words of the document's sentences, in order.
-    words = store.word_lower
+    # The store holds exactly the tokens of the document's sentences, in order.
     families: dict[str, list[int]] = {}
     for i in _hits(store, INTENSITY):
-        families.setdefault(lexicon.folded_intensity_family(words[i]), []).append(i)
+        families.setdefault(lexicon.folded_intensity_family(store.form(i)), []).append(i)
     out = []
     for family, hits in families.items():
         # A rate that overflows to infinity, from a page estimate near 0,
@@ -371,10 +377,10 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
         rate = len(hits) / pages
         if cfg.intensity_per_page < rate < math.inf:
             out.append(Diagnostic(
-                "S701", store.word_span(hits[0]), rate, cfg.intensity_per_page,
+                "S701", store.token_span(hits[0]), rate, cfg.intensity_per_page,
                 f"'{family}' and kin appear {len(hits)} times in an estimated "
                 f"{pages:.1f} pages; swapping in synonyms will not help",
-                tuple([store.word_span(i) for i in hits]),
+                tuple([store.token_span(i) for i in hits]),
             ))
     return out
 
@@ -382,26 +388,28 @@ def detect_intensity_overuse(doc: Document, cfg: AnalysisConfig) -> list[Diagnos
 def detect_superlative_density(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S702: superlatives (including "most <content word>") denser than
     superlative_per_page; praise standing in for argument."""
-    lexicon, store = doc.lexicon, doc.store
-    words, bounds = store.word_lower, store.sentence_word
-    superlatives, stopwords = lexicon.superlatives, lexicon.stopwords
+    store = doc.store
+    kind, stems, bounds = store.kind, store.stem, store.sentence_token
+    superlatives = doc.lexicon.superlatives
     pages = _pages(doc, cfg)
     if pages <= 0:
         return []
-    hits: list[tuple[int, int]] = []  # word index ranges
+    hits: list[tuple[int, int]] = []  # token index ranges
     for i in _hits(store, SUPERLATIVE):
-        if words[i] in superlatives:
+        form = store.form(i)
+        if form in superlatives:
             hits.append((i, i + 1))
-        # "most" before a content word of its sentence
-        elif (words[i] == "most" and i + 1 < bounds[bisect_right(bounds, i)]
-              and words[i + 1] not in stopwords):
-            hits.append((i, i + 2))
+        # "most" before a content word, the next word of its sentence
+        elif (form == "most" and (
+                following := kind.find(WORD_CODE, i + 1, bounds[bisect_right(bounds, i)])) >= 0
+              and stems[following] is not None):
+            hits.append((i, following + 1))
     if not hits:
         return []
     rate = len(hits) / pages
     if not cfg.superlative_per_page < rate < math.inf:  # as in S701
         return []
-    spans = tuple([store.word_span(i, j) for i, j in hits])
+    spans = tuple([store.token_span(i, j) for i, j in hits])
     return [Diagnostic(
         "S702", spans[0], rate, cfg.superlative_per_page,
         f"{len(hits)} superlatives in an estimated {pages:.1f} pages reads "

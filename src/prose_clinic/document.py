@@ -17,22 +17,24 @@ Conventions the rest of the package relies on:
 * footnote bodies are kept out of the body text, so they never feed the
   sentence and paragraph statistics.
 
-One parse fills one TokenStore: flat arrays of the body tokens (a token is
-an offset range into the source and a kind code, not an object), of the
-words' lowercase forms, content stems and class bytes (Lexicon.word_class),
-and of the sentence and paragraph bounds. TokenStore.scan runs no Python
-code per token: one findall cuts the text into chunks, and one fold table
-(WordFold), which the parses share, maps each distinct chunk to its kind,
-length, form, stem and class byte; an entry depends only on the chunk, the
-lexicon and the pure stem, so a warm table gives what a fresh one gives. In
-markdown one regex (_STRUCTURE_RE) finds the headings and definitions; plain
-text has none. The parse scans each run of body text between two of them once,
-cuts it into paragraphs at the blank lines and into sentences on the
-terminator kind code (STOP_CODE), and builds no object per sentence or
-paragraph: Section.paragraphs, Paragraph.sentences, the spans and
-Sentence.tokens, .words and .stems are views built on each access. The
-parse builds a Span only for footnotes, and the detectors, which read the
-store's arrays by index, only for what they report.
+One parse fills one TokenStore: flat arrays of the body tokens, all in one
+index space (token i is an offset range into the source, a kind code, a
+content stem and a class byte, not an object), and of the sentence and
+paragraph bounds in token indices. TokenStore.scan runs no Python code per
+token: one findall cuts the text into chunks, and one fold table (WordFold),
+which the parses share, maps each distinct chunk to its kind, length, stem
+and class byte; an entry depends only on the chunk, the lexicon and the pure
+stem, so a warm table gives what a fresh one gives. A word's lowercase form
+is not stored: it is the token's text lowercased (TokenStore.form), read at
+the few tokens that need it. In markdown one regex (_STRUCTURE_RE) finds the
+headings and definitions; plain text has none. The parse scans each run of
+body text between two of them that holds a token once, cuts it into
+paragraphs at the blank lines and into sentences on the terminator kind code
+(STOP_CODE), and builds no object per sentence or paragraph:
+Section.paragraphs, Paragraph.sentences, the spans and Sentence.tokens,
+.words and .stems are views built on each access. The parse builds a Span
+only for footnotes, and the detectors, which read the store's arrays by
+index, only for what they report.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, pairwise, repeat
+from itertools import accumulate, pairwise
 from operator import itemgetter, sub
 from typing import Iterator, NamedTuple
 
@@ -112,6 +114,7 @@ _CHUNK_RE = re.compile(rf"\s*(?:{_MARKER}|{_UNIT}(?:[-‐‑'’]{_UNIT})*|\S)")
 _TOKEN_END_RE = re.compile(r"\S\s")
 _MARKER_RE = re.compile(_MARKER)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]")
+_NON_SPACE_RE = re.compile(r"\S")
 # A structure line of markdown: an ATX heading or a footnote definition.
 # Inside a line, whitespace is [^\S\n]; with \s, "#\nText" would be a heading.
 _STRUCTURE_RE = re.compile(rf"^(?:(#{{1,6}})[^\S\n]+(\S.*)|\[\^({_ID})\]:[^\S\n]?(.*))", re.M)
@@ -128,23 +131,21 @@ _PIECE = 16_384
 # one in 8-byte arrays ("q"): "l" is 8 bytes on Linux but 4 on Windows.
 _OFFSET_LIMIT = 1 << 31
 # The fields of a WordFold entry.
-_CODE, _LENGTH, _FORM, _STEM, _CLASS = map(itemgetter, range(5))
-# bytes.translate table: 1 for the WORD kind code, 0 for every other code.
-_IS_WORD = bytes(map(WORD_CODE.__eq__, range(256)))
+_CODE, _LENGTH, _STEM, _CLASS = map(itemgetter, range(4))
 # The kind codes of the single-character marks that have codes of their own.
 _MARK_CODES = {",": COMMA_CODE, ".": STOP_CODE, "!": STOP_CODE, "?": STOP_CODE}
 
 
 class WordFold(dict):
     """The fold table the scans share: a chunk of source text (a token, maybe
-    with whitespace before it) maps to (kind code, token length, lowercase
-    form, content stem, class byte), for the table's lexicon. The form and
-    the stem are None and the class byte is 0 but for a WORD token, and the
-    stem is None for a stopword too. A chunk is folded at its first lookup:
-    with whitespace in front it takes its token's entry, and a word's
-    lowercase form is kept as a key of its own, so all spellings of a form
-    share one lowercase string, one stopword test, one stem call and one
-    class byte. chars counts the characters of the keys."""
+    with whitespace before it) maps to (kind code, token length, content
+    stem, class byte), for the table's lexicon. The stem is None and the
+    class byte is 0 but for a WORD token, and the stem is None for a
+    stopword too. A chunk is folded at its first lookup: with whitespace in
+    front it takes its token's entry, and a word's lowercase form is kept as
+    a key of its own, so all spellings of a form share one stopword test,
+    one stem call and one class byte. chars counts the characters of the
+    keys."""
 
     __slots__ = ("lexicon", "chars")
 
@@ -157,13 +158,13 @@ class WordFold(dict):
         if len(token) < len(chunk):
             entry = self[token]
         elif _MARKER_RE.fullmatch(chunk):
-            entry = (MARKER_CODE, len(chunk), None, None, 0)
+            entry = (MARKER_CODE, len(chunk), None, 0)
         elif len(chunk) == 1 and not chunk.isalnum():
             # A word-like token starts with a letter or digit ([^\W_] is
             # isalnum), so a single other character is a mark.
-            entry = (_MARK_CODES.get(chunk, PUNCTUATION_CODE), 1, None, None, 0)
+            entry = (_MARK_CODES.get(chunk, PUNCTUATION_CODE), 1, None, 0)
         elif not _HAS_LETTER_RE.search(chunk):
-            entry = (NUMBER_CODE, len(chunk), None, None, 0)
+            entry = (NUMBER_CODE, len(chunk), None, 0)
         else:
             lower = chunk.lower()
             form = self.get(lower)
@@ -171,7 +172,7 @@ class WordFold(dict):
                 lexicon = self.lexicon
                 # stem is called through this module's name, so that a
                 # wrapper put in its place sees every call.
-                form = self[lower] = (WORD_CODE, len(lower), lower,
+                form = self[lower] = (WORD_CODE, len(lower),
                                       None if lower in lexicon.stopwords else stem(lower),
                                       lexicon.word_class(lower))
                 self.chars += len(lower)
@@ -214,23 +215,21 @@ class TokenStore:
     structure, in flat per-document arrays (no per-sentence objects, which
     once freed stay on CPython's free lists until a generation-2 collection).
 
-    Token i is ``source[start[i]:end[i]]`` of kind ``KINDS[kind[i]]``. Word i
-    (the i-th WORD token) is token ``word_token[i]``; ``word_lower[i]`` is its
-    lowercase form, one string per form, ``word_stem[i]`` its content stem,
-    or None for a stopword, and ``word_class[i]`` its class byte
-    (Lexicon.word_class). Sentence i is tokens ``sentence_token[i]``
-    up to ``sentence_token[i + 1]`` and likewise words in ``sentence_word``;
-    paragraph p is sentences ``paragraph_sentence[p]`` up to ``[p + 1]``; each
-    of the three ends with a closing sentinel. A parse fills sentence_word
-    once, after its last run of body text: the store holds the sentences'
-    tokens and nothing else, so ``sentence_word[i]`` is the number of WORD
-    tokens before token ``sentence_token[i]``. Offsets take 4-byte ints below
-    _OFFSET_LIMIT code points of source, 8-byte ints otherwise.
+    Every array is indexed by token. Token i is ``source[start[i]:end[i]]``
+    of kind ``KINDS[kind[i]]``; ``stem[i]`` is its content stem, one string
+    per form, and ``word_class[i]`` its class byte (Lexicon.word_class of
+    its lowercase form, form(i)). A token that is not a WORD, and a stopword,
+    has the stem None; one that is not a WORD has the class byte 0. A "word"
+    is a WORD token: the rules that look at neighbouring words skip the
+    punctuation and NUMBER tokens between them. Sentence i is tokens
+    ``sentence_token[i]`` up to ``sentence_token[i + 1]``, and paragraph p is
+    sentences ``paragraph_sentence[p]`` up to ``[p + 1]``; both end with a
+    closing sentinel. Offsets take 4-byte ints below _OFFSET_LIMIT code
+    points of source, 8-byte ints otherwise.
     """
 
-    __slots__ = ("source", "line_starts", "start", "end", "kind", "word_lower", "word_stem",
-                 "word_class", "word_token", "sentence_token", "sentence_word",
-                 "paragraph_sentence")
+    __slots__ = ("source", "line_starts", "start", "end", "kind", "stem", "word_class",
+                 "sentence_token", "paragraph_sentence")
 
     def __init__(self, source: str):
         self.source = source
@@ -240,25 +239,22 @@ class TokenStore:
         self.start = array(typecode)
         self.end = array(typecode)
         self.kind = bytearray()
-        self.word_lower: list[str] = []
-        self.word_stem: list[str | None] = []
+        self.stem: list[str | None] = []
         self.word_class = bytearray()
-        self.word_token = array(typecode)
         self.sentence_token = array(typecode, [0])
-        self.sentence_word = array(typecode, [0])
         self.paragraph_sentence = array(typecode, [0])
 
     def scan(self, start: int, end: int, lexicon: Lexicon) -> None:
-        """Append the tokens of source[start:end], and for each WORD token
-        its token index, its lowercase form, its content stem and its class
-        byte, as the shared fold table for the lexicon gives them.
+        """Append the tokens of source[start:end]: each one's offsets, kind
+        code, content stem and class byte, as the shared fold table for the
+        lexicon gives them.
 
         No Python code runs per token, but for chunks the fold has not seen.
         One findall cuts a piece of the range into chunks; the fold maps each
-        chunk to its entry; and map, accumulate, compress and bytes.translate
-        turn the entries into the arrays. The range is matched in pieces of
-        about _PIECE characters, each cut at the end of a token: a token
-        never holds whitespace, so the pieces give the tokens of the whole.
+        chunk to its entry; and map and accumulate turn the entries into the
+        arrays. The range is matched in pieces of about _PIECE characters,
+        each cut at the end of a token: a token never holds whitespace, so
+        the pieces give the tokens of the whole.
         """
         source, starts, ends, kinds = self.source, self.start, self.end, self.kind
         # Stop at the last token: a chunk regex that starts with \s* would
@@ -272,7 +268,6 @@ class TokenStore:
                 m = _TOKEN_END_RE.search(source, start + _PIECE, end)
                 if m:
                     cut = m.start() + 1
-            first = len(kinds)
             chunks = _CHUNK_RE.findall(source, start, cut)
             entries = list(map(fold.__getitem__, chunks))
             if len(fold) > _FOLD_LIMIT or fold.chars > _FOLD_CHARS:
@@ -283,14 +278,9 @@ class TokenStore:
             del piece_ends[0]
             ends.fromlist(piece_ends)
             starts.fromlist(list(map(sub, piece_ends, map(_LENGTH, entries))))
-            codes = bytes(map(_CODE, entries))
-            kinds += codes
-            is_word = codes.translate(_IS_WORD)
-            self.word_token.fromlist(list(compress(count(first), is_word)))
-            words = list(compress(entries, is_word))
-            self.word_lower += map(_FORM, words)
-            self.word_stem += map(_STEM, words)
-            self.word_class.extend(map(_CLASS, words))
+            kinds.extend(map(_CODE, entries))
+            self.stem += map(_STEM, entries)
+            self.word_class.extend(map(_CLASS, entries))
             start = cut
 
     def span(self, start: int, end: int) -> Span:
@@ -304,12 +294,6 @@ class TokenStore:
         default)."""
         return self.span(self.start[i], self.end[i if j is None else j - 1])
 
-    def word_span(self, i: int, j: int | None = None) -> Span:
-        """The Span from word i through word j - 1 (word i alone by
-        default)."""
-        last = i if j is None else j - 1
-        return self.token_span(self.word_token[i], self.word_token[last] + 1)
-
     def sentence_span(self, i: int, j: int | None = None) -> Span:
         """The Span of sentences i through j - 1 (i alone by default)."""
         return self.token_span(self.sentence_token[i],
@@ -322,34 +306,36 @@ class TokenStore:
 
     def sentence_word_count(self, i: int) -> int:
         """Sentence i's word count: its WORD plus its NUMBER tokens."""
-        tokens, words = self.sentence_token, self.sentence_word
-        return words[i + 1] - words[i] + self.kind.count(NUMBER_CODE, tokens[i], tokens[i + 1])
+        kind, first, end = self.kind, self.sentence_token[i], self.sentence_token[i + 1]
+        return kind.count(WORD_CODE, first, end) + kind.count(NUMBER_CODE, first, end)
+
+    def form(self, i: int) -> str:
+        """Token i's text, lowercased: for a WORD token, the form that its
+        stem and class byte were folded from."""
+        return self.source[self.start[i]:self.end[i]].lower()
 
     def token(self, i: int) -> Token:
         start, end = self.start[i], self.end[i]
         return Token(self.source[start:end], KINDS[self.kind[i]], self.span(start, end))
 
     def sentence(self, i: int) -> Sentence:
-        tokens, words = self.sentence_token, self.sentence_word
-        return Sentence(self.sentence_word_count(i), self, tokens[i], tokens[i + 1],
-                        words[i], words[i + 1])
+        tokens = self.sentence_token
+        return Sentence(self.sentence_word_count(i), self, tokens[i], tokens[i + 1])
 
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
     """A view of a sentence of the parse's TokenStore, built on access: its
-    word count (WORD plus NUMBER tokens) and the index ranges [first, end) of
-    its tokens and words (and stem slots). Two sentences are equal when these
-    are. span, tokens, words and stems are views too; code that walks many
-    sentences reads the store's arrays instead.
+    word count (WORD plus NUMBER tokens) and the index range [first, end) of
+    its tokens. Two sentences are equal when these are. span, tokens, words
+    and stems are views too; code that walks many sentences reads the
+    store's arrays instead.
     """
 
     word_count: int
     store: TokenStore = field(repr=False, compare=False)
     first_token: int
     end_token: int
-    first_word: int
-    end_word: int
 
     @property
     def span(self) -> Span:
@@ -363,13 +349,14 @@ class Sentence:
     @property
     def words(self) -> tuple[Token, ...]:
         """The WORD tokens."""
-        store = self.store
-        return tuple([store.token(i) for i in store.word_token[self.first_word:self.end_word]])
+        store, kind = self.store, self.store.kind
+        return tuple([store.token(i) for i in range(self.first_token, self.end_token)
+                      if kind[i] == WORD_CODE])
 
     @property
     def stems(self) -> tuple[str, ...]:
         """The content stems, in order and with repeats (see TokenStore)."""
-        return tuple([s for s in self.store.word_stem[self.first_word:self.end_word] if s])
+        return tuple([s for s in self.store.stem[self.first_token:self.end_token] if s])
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,8 +460,12 @@ def _paragraphs(store: TokenStore, start: int, end: int, lexicon: Lexicon,
                 abbreviations: dict[int, set[str]]) -> None:
     """Scan source[start:end], a run of body text, cut its tokens into
     paragraphs at the blank lines and each paragraph into sentences, and
-    append their bounds to the store's sentence_token and paragraph_sentence."""
+    append their bounds to the store's sentence_token and paragraph_sentence.
+    A run without a token, such as the line end between two structure lines,
+    holds no paragraph and is not scanned."""
     source, starts, ends, kind = store.source, store.start, store.end, store.kind
+    if not _NON_SPACE_RE.search(source, start, end):
+        return
     sentence_token = store.sentence_token
     first_token = len(kind)
     store.scan(start, end, lexicon)
@@ -549,11 +540,6 @@ def parse_document(source: str, format: str = MARKDOWN, *,
             defs[fid] = store.span(line.start(4), line.start(4) + len(body))
         markers += [m.span() for m in _MARKER_RE.finditer(source, pos)]
     _paragraphs(store, pos, len(source), lexicon, abbreviations)
-    # A sentence's first word is the count of WORD tokens before its first
-    # token (see TokenStore). extend, unlike fromlist, holds no list of them.
-    bounds = store.sentence_token
-    store.sentence_word.extend(accumulate(
-        map(store.kind.count, repeat(WORD_CODE), bounds, bounds[1:])))
     if len(sections) > 1 and sections[1][2] == 0:
         del sections[0]
     firsts = [first for _, _, first in sections] + [len(store.paragraph_sentence) - 1]
@@ -574,7 +560,7 @@ def parse_document(source: str, format: str = MARKDOWN, *,
                 f"footnote definition [^{fid}] has no marker in the text", fid, defs[fid])
 
     # The store holds the tokens of the sentences and of nothing else.
-    total_words = len(store.word_token) + store.kind.count(NUMBER_CODE)
+    total_words = store.kind.count(WORD_CODE) + store.kind.count(NUMBER_CODE)
     return Document(source, format, built_sections, tuple(footnotes.values()), total_words,
                     lexicon, store, words_per_page)
 

@@ -5,14 +5,15 @@ demonstratives, nominalization suffixes, intensity and superlative vocabulary,
 sentence-boundary abbreviations, and a standard stopword list. The tables
 hold lowercase entries, and a word is classified by testing its lowercase
 form against a set (``word.lower() in lexicon.be_forms``): the parse folds
-each distinct word form to lowercase once (TokenStore.word_lower), and the
-detectors test those forms. The two tests that are more than a set lookup
-each live in one helper that takes a lowercase form
-(is_folded_nominalization, folded_intensity_family). Lexicon.word_class
-gathers the tests the detectors look for into one class byte per form, one
-bit per class (BE_FORM ... GERUND); the parse keeps it beside the form
-(TokenStore.word_class), so the detectors find their words with a C-level
-scan of those bytes. The tables can be extended from a plain-text file, see
+each distinct word form to lowercase once, and a detector that tests a
+word's spelling reads the word token's text lowercased (TokenStore.form).
+The two tests that are more than a set lookup each live in one helper that
+takes a lowercase form (is_folded_nominalization, folded_intensity_family).
+Lexicon.word_class gathers the tests the detectors look for into one class
+byte per form, one bit per class (BE_FORM ... GERUND); the parse keeps one
+per token (TokenStore.word_class, 0 for a token that is not a word), so
+the detectors find their words with a C-level scan of those bytes. The
+tables can be extended from a plain-text file, see
 load_lexicon_extensions.
 """
 

@@ -77,9 +77,9 @@ _NARRATIVES = {
 
 def _stems(store: TokenStore, paragraphs: range) -> filter:
     """The content stems of a range of paragraphs, in order and with repeats."""
-    bounds, words = store.paragraph_sentence, store.sentence_word
-    lo, hi = words[bounds[paragraphs.start]], words[bounds[paragraphs.stop]]
-    return filter(None, store.word_stem[lo:hi])
+    bounds, tokens = store.paragraph_sentence, store.sentence_token
+    lo, hi = tokens[bounds[paragraphs.start]], tokens[bounds[paragraphs.stop]]
+    return filter(None, store.stem[lo:hi])
 
 
 def section_relevance(section: Section, keywords: tuple[str, ...]) -> int:
@@ -97,7 +97,7 @@ def extract_keywords(doc: Document, cfg: AnalysisConfig) -> tuple[str, ...]:
     counts: Counter[str] = Counter()
     if doc.sections:
         opening = doc.sections[0]
-        counts.update(filter(None, scan_text(opening.heading_text, doc.lexicon).word_stem))
+        counts.update(filter(None, scan_text(opening.heading_text, doc.lexicon).stem))
         counts.update(_stems(doc.store, opening.paragraph_range[:2]))
     ranked = sorted(counts, key=lambda s: (-counts[s], s))
     return tuple(ranked[: cfg.keyword_count])

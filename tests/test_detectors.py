@@ -100,6 +100,27 @@ def test_s102_gerund_has_at_least_five_letters():
     assert detect("S102", "It is the ring of steel.") == []
 
 
+@pytest.mark.parametrize("text,phrase", [
+    ("It is the, testing of lenses.", "the, testing of"),
+    ("It is the 12 testing of lenses.", "the 12 testing of"),
+])
+def test_s102_gerund_words_skip_marks_and_numbers(text, phrase):
+    # "the" and "of" are the words before and after the gerund: a mark or a
+    # number between them is no word.
+    (diag,) = detect("S102", text)
+    span = diag.evidence[-1]
+    assert text[span.start_byte:span.end_byte] == phrase
+
+
+@pytest.mark.parametrize("text", [
+    "We saw the. Testing of lenses is slow.",
+    "Our aim is the testing. Of lenses we know little.",
+])
+def test_s102_gerund_that_opens_or_ends_its_sentence_does_not_count(text):
+    # The "the" or the "of" lies in the sentence next to the gerund's.
+    assert detect("S102", text) == []
+
+
 # --- S103: interrupted or delayed core ------------------------------------
 
 def test_s103_interruption():
@@ -167,6 +188,11 @@ def test_s103_lead_opens_within_its_first_two_words():
     (diag,) = detect("S103", "Long before dawn, we slept.", cfg=LEAD_CFG)
     assert diag.measured == 3
     assert detect("S103", "Quite long before dawn, we slept.", cfg=LEAD_CFG) == []
+    # Numbers count toward the delay but are not words of the window.
+    for text, measured in [("12 because dawn came, we slept.", 4),
+                           ("12 13 14 because dawn came, we slept.", 6)]:
+        (diag,) = detect("S103", text, cfg=LEAD_CFG)
+        assert diag.measured == measured
 
 
 # --- S201: unlinked sentences ----------------------------------------------
@@ -190,6 +216,14 @@ def test_s201_connector_counts_as_link():
 def test_s201_conjunctive_adverb_counts_as_link():
     assert detect("S201", "The probe failed. However, water rose fast.") == []
     (diag,) = detect("S201", "The probe failed. Water rose fast.")
+    assert diag.measured == 0
+
+
+def test_s201_numbers_before_a_connector_are_no_words_of_the_window():
+    # link_window_tokens (3) counts words: three numbers before "however"
+    # leave it in the window, three words do not.
+    assert detect("S201", "The probe failed. 1990, 2000, 2010 however, water rose.") == []
+    (diag,) = detect("S201", "The probe failed. Water rose fast however.")
     assert diag.measured == 0
 
 
@@ -263,6 +297,13 @@ def test_s302_conjunctive_adverb_signals_a_point():
     (diag,) = detect("S302", text)
     assert diag.measured == 1
     assert detect("S302", "However, " + text) == []
+
+
+def test_s302_numbers_before_a_connector_are_no_words_of_the_window():
+    rest = " ".join([FILLER, FILLER, FILLER])
+    assert detect("S302", "1990, 2000, 2010 however, regions diverge. " + rest) == []
+    (diag,) = detect("S302", "In 1990 the regions however diverge. " + rest)
+    assert diag.measured == 1
 
 
 # --- S401: broken opener storyline ------------------------------------------
@@ -399,8 +440,12 @@ def test_s702_three_superlatives_in_one_page():
 
 def test_s702_most_plus_content_word():
     cfg = dataclasses.replace(CFG, superlative_per_page=0.5)
+    # The content word is the next word of the sentence: a mark or a number
+    # between them is no word.
     for opening, phrase in [("The most elegant method wins the day.", "most elegant"),
-                            ("Most elegant methods win the day.", "Most elegant")]:
+                            ("Most elegant methods win the day.", "Most elegant"),
+                            ("The most, notable method wins the day.", "most, notable"),
+                            ("The most 3 results win the day.", "most 3 results")]:
         doc = parse_document(paragraphs([opening] + [FILLER_SHORT] * 49), PLAIN)
         (diag,) = RULES["S702"](doc, cfg)
         span = diag.evidence[0]
@@ -410,6 +455,12 @@ def test_s702_most_plus_content_word():
 def test_s702_most_plus_stopword_does_not_count():
     cfg = dataclasses.replace(CFG, superlative_per_page=0.5)
     text = paragraphs(["The method wins most of the time today."] + [FILLER_SHORT] * 49)
+    assert detect("S702", text, cfg=cfg) == []
+
+
+def test_s702_most_that_ends_its_sentence_does_not_count():
+    cfg = dataclasses.replace(CFG, superlative_per_page=0.5)
+    text = paragraphs(["The method wins the most. Notable results follow."] + [FILLER_SHORT] * 49)
     assert detect("S702", text, cfg=cfg) == []
 
 

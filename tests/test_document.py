@@ -433,8 +433,9 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
             last_end = s.end_byte
             words = tuple(t for t in sentence.tokens if t.kind == WORD)
             assert sentence.words == words
-            assert store.word_lower[sentence.first_word:sentence.end_word] == [
-                t.text.lower() for t in words]
+            # A word's form, which the rules test, is its text lowercased.
+            assert [store.form(i) for i in range(sentence.first_token, sentence.end_token)
+                    if store.kind[i] == document.WORD_CODE] == [t.text.lower() for t in words]
             assert all(t.kind == PUNCTUATION for t in sentence.tokens if t.text == ",")
             assert sentence.word_count == sum(
                 1 for t in sentence.tokens if t.kind in (WORD, NUMBER))
@@ -444,12 +445,16 @@ def test_parse_invariants_hold_for_arbitrary_text(text, fmt):
         total += paragraph.word_count
         last_end = p.end_byte
     assert doc.total_words == total
-    # One stem slot per word: None for a stopword, the form's stem otherwise.
-    assert len(store.word_stem) == len(store.word_lower)
-    assert store.word_stem == [None if form in lexicon.stopwords else stem(form)
-                               for form in store.word_lower]
-    # One class byte per word, the form's.
-    assert store.word_class == bytes(map(lexicon.word_class, store.word_lower))
+    # Each token's lowercase form if it is a word, else None.
+    forms = [t.text.lower() if t.kind == WORD else None
+             for t in map(store.token, range(len(store.kind)))]
+    # One stem slot per token: None for a stopword, the form's stem for
+    # another word, and None for a token that is not a word.
+    assert store.stem == [None if form is None or form in lexicon.stopwords else stem(form)
+                          for form in forms]
+    # One class byte per token: the form's for a word, 0 for any other token.
+    assert store.word_class == bytes([0 if form is None else lexicon.word_class(form)
+                                      for form in forms])
     for note in doc.footnotes:
         for span in (note.marker_span, note.body_span):
             assert 0 <= span.start_byte < span.end_byte <= len(text)
@@ -480,8 +485,7 @@ class _ReferenceFold(dict):
             lower = text.lower()
             entry = self.get(lower)
             if entry is None:
-                entry = self[lower] = (lower,
-                                       None if lower in self.lexicon.stopwords else stem(lower),
+                entry = self[lower] = (None if lower in self.lexicon.stopwords else stem(lower),
                                        self.lexicon.word_class(lower))
         self[text] = entry
         return entry
@@ -490,9 +494,8 @@ class _ReferenceFold(dict):
 class _ReferenceStore:
     def __init__(self, source):
         self.source = source
-        self.start, self.end, self.kind = [], [], []
-        self.word_lower, self.word_stem, self.word_class, self.word_token = [], [], [], []
-        self.sentence_token, self.sentence_word, self.paragraph_sentence = [0], [0], [0]
+        self.start, self.end, self.kind, self.stem, self.word_class = [], [], [], [], []
+        self.sentence_token, self.paragraph_sentence = [0], [0]
 
     def scan(self, start, end, fold):
         """Append the tokens of source[start:end]; returns the number of
@@ -502,18 +505,14 @@ class _ReferenceStore:
             pos, stop = m.span()
             self.start.append(pos)
             self.end.append(stop)
+            entry = fold[m.group()] if m.lastgroup == "wordish" else ()
+            # A word's stem and class byte; None and 0 for any other token.
+            stem_slot, word_class = entry or (None, 0)
+            self.stem.append(stem_slot)
+            self.word_class.append(word_class)
             if m.lastgroup == "wordish":
                 words += 1
-                entry = fold[m.group()]
-                if entry:
-                    lower, word_stem, word_class = entry
-                    self.word_token.append(len(self.kind))
-                    self.word_lower.append(lower)
-                    self.word_stem.append(word_stem)
-                    self.word_class.append(word_class)
-                    self.kind.append(document.WORD_CODE)
-                else:
-                    self.kind.append(document.NUMBER_CODE)
+                self.kind.append(document.WORD_CODE if entry else document.NUMBER_CODE)
             elif m.lastgroup == "marker":
                 self.kind.append(document.MARKER_CODE)
             elif self.source[pos] == ",":
@@ -555,8 +554,8 @@ def _reference_sentence_bounds(source, start, end, abbreviations):
 
 def _store_arrays(store):
     return {name: list(getattr(store, name))
-            for name in ("start", "end", "kind", "word_lower", "word_stem", "word_class",
-                         "word_token", "sentence_token", "sentence_word", "paragraph_sentence")}
+            for name in ("start", "end", "kind", "stem", "word_class", "sentence_token",
+                         "paragraph_sentence")}
 
 
 # Text that stresses the scan: whitespace that is not ASCII (vertical tab,
@@ -591,8 +590,8 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
     if doc is None:
         return
     # The parse scans each run of body text once, and each sentence is its
-    # share of the run's tokens and words: scanning the sentences one at a
-    # time gives the same store.
+    # share of the run's tokens: scanning the sentences one at a time gives
+    # the same store.
     reference = _ReferenceStore(text)
     fold = _ReferenceFold(lexicon)
     by_length = {}
@@ -603,15 +602,13 @@ def test_scan_matches_a_loop_over_the_tokens(text, fmt, piece, abbreviations):
         span = paragraph.span
         for s, e in _reference_sentence_bounds(text, span.start_byte, span.end_byte,
                                                by_length):
-            first = len(reference.kind), len(reference.word_lower)
+            first = len(reference.kind)
             words = reference.scan(s, e, fold)
             total += words
-            expected.append((words, first[0], len(reference.kind), first[1],
-                             len(reference.word_lower)))
+            expected.append((words, first, len(reference.kind)))
             reference.sentence_token.append(len(reference.kind))
-            reference.sentence_word.append(len(reference.word_lower))
         reference.paragraph_sentence.append(len(reference.sentence_token) - 1)
-    assert [(s.word_count, s.first_token, s.end_token, s.first_word, s.end_word)
+    assert [(s.word_count, s.first_token, s.end_token)
             for s in doc.iter_sentences()] == expected
     assert _store_arrays(doc.store) == _store_arrays(reference)
     assert doc.total_words == total
@@ -642,7 +639,7 @@ _REFERENCE_MARKER_RE = re.compile(r"\[\^[^\[\]\s]+\]")
 
 def _reference_parse(source, fmt, *, lexicon):
     store = document.TokenStore(source)
-    kind, starts, ends, word_token = store.kind, store.start, store.end, store.word_token
+    kind, starts, ends = store.kind, store.start, store.end
     abbreviations = {}
     for abbr in lexicon.abbreviations:
         abbreviations.setdefault(len(abbr), set()).add(abbr)
@@ -655,10 +652,10 @@ def _reference_parse(source, fmt, *, lexicon):
         nonlocal total
         if not block:
             return
-        first_token, first_word = len(kind), len(word_token)
+        first_token = len(kind)
         store.scan(block[0], block[1], lexicon)
         block.clear()
-        last_token, last_word = len(kind), len(word_token)
+        last_token = len(kind)
         cuts = []
         for k in range(first_token, last_token - 1):
             if kind[k] != document.STOP_CODE:
@@ -672,14 +669,10 @@ def _reference_parse(source, fmt, *, lexicon):
                     cuts.append(k + 1)
         cuts.append(last_token)
         for end_token in cuts:
-            end_word = first_word
-            while end_word < last_word and word_token[end_word] < end_token:
-                end_word += 1
-            total += end_word - first_word + sum(
-                kind[i] == document.NUMBER_CODE for i in range(first_token, end_token))
+            total += sum(kind[i] in (document.WORD_CODE, document.NUMBER_CODE)
+                         for i in range(first_token, end_token))
             store.sentence_token.append(end_token)
-            store.sentence_word.append(end_word)
-            first_token, first_word = end_token, end_word
+            first_token = end_token
         store.paragraph_sentence.append(len(store.sentence_token) - 1)
 
     offset = 0
@@ -792,8 +785,7 @@ def test_a_parse_with_8_byte_offsets_equals_one_with_4_byte_offsets(fmt, monkeyp
     compact = parse_document(text, fmt)
     monkeypatch.setattr(document, "_OFFSET_LIMIT", 1)
     wide = parse_document(text, fmt)
-    arrays = ("line_starts", "start", "end", "word_token", "sentence_token", "sentence_word",
-              "paragraph_sentence")
+    arrays = ("line_starts", "start", "end", "sentence_token", "paragraph_sentence")
     assert {getattr(compact.store, name).typecode for name in arrays} == {"i"}
     assert {getattr(wide.store, name).typecode for name in arrays} == {"q"}
     assert _store_arrays(wide.store) == _store_arrays(compact.store)
@@ -810,6 +802,17 @@ def test_a_plain_parse_is_one_scan():
         doc = parse_document("One claim.\n\n# Two\n\nThree claims.\n", "plain")
     assert scan.call_count == 1
     assert len(list(doc.iter_paragraphs())) == 3
+
+
+def test_adjacent_structure_lines_start_no_scan():
+    # Of the six runs of body text around the five structure lines, four
+    # are empty or whitespace only: only the two with a token are scanned.
+    text = "# One\n## Two\n \t\n### Three\nA claim[^1].\n[^1]: A note.\n[^2]: More.\n\n"
+    with mock.patch.object(document.TokenStore, "scan", autospec=True,
+                           side_effect=document.TokenStore.scan) as scan:
+        doc = parse_document(text + "Text[^2].", "markdown")
+    assert scan.call_count == 2
+    assert [len(section.paragraphs) for section in doc.sections] == [0, 0, 2]
 
 
 # Passages that trip the rules, so that the detectors and maladies report
@@ -939,8 +942,9 @@ def test_findings_ignore_the_case_of_inner_letters(text, fmt, cfg):
 
 # The detectors that look for words of a lexicon class, as they were before
 # the scan gave each word a class byte: a walk over every sentence or every
-# word that tests the lowercase forms against the lexicon's sets. run_all is
-# compared with them.
+# word that tests the lowercase forms against the lexicon's sets. They read
+# the Sentence and Token views, not the store's arrays. run_all is compared
+# with them.
 def _reference_signals_link(words, cfg, lexicon):
     window = words[:cfg.link_window_tokens]
     return not (lexicon.coordinating.isdisjoint(window)
@@ -949,175 +953,172 @@ def _reference_signals_link(words, cfg, lexicon):
                 and lexicon.demonstratives.isdisjoint(words))
 
 
+def _forms(tokens):
+    return [t.text.lower() for t in tokens]
+
+
+def _joined(first, last):
+    """The Span from the start of token first to the end of token last."""
+    return first.span._replace(end_byte=last.span.end_byte)
+
+
 def _reference_hidden_verb(doc, cfg):
-    lexicon, store = doc.lexicon, doc.store
-    words = store.word_lower
+    lexicon = doc.lexicon
     out = []
-    for sentence, (lo, hi) in enumerate(pairwise(store.sentence_word)):
-        if lexicon.be_forms.isdisjoint(words[lo:hi]):
+    for sentence in doc.iter_sentences():
+        words = sentence.words
+        forms = _forms(words)
+        if lexicon.be_forms.isdisjoint(forms):
             continue
-        be = next(i for i in range(lo, hi) if words[i] in lexicon.be_forms)
-        noms = [i for i in range(lo, hi) if lexicon.is_folded_nominalization(words[i])]
+        be = next(k for k, form in enumerate(forms) if form in lexicon.be_forms)
+        noms = [k for k, form in enumerate(forms) if lexicon.is_folded_nominalization(form)]
         gerund = None
-        for i in range(lo, hi - 2):
-            mid = words[i + 1]
-            if (words[i] == "the" and words[i + 2] == "of"
+        for k in range(len(forms) - 2):
+            mid = forms[k + 1]
+            if (forms[k] == "the" and forms[k + 2] == "of"
                     and mid.endswith("ing") and len(mid) >= 5):
-                gerund = i
+                gerund = k
                 break
         signals = len(noms) + (2 if gerund is not None else 0)
         if signals < 2:
             continue
-        evidence = [store.word_span(i) for i in [be, *noms]]
+        evidence = [words[k].span for k in [be, *noms]]
         if gerund is not None:
-            evidence.append(store.word_span(gerund, gerund + 3))
+            evidence.append(_joined(words[gerund], words[gerund + 2]))
         out.append(Diagnostic(
-            "S102", store.sentence_span(sentence), signals, 2,
+            "S102", sentence.span, signals, 2,
             "a form of 'to be' plus noun-made actions hides the verb; "
             "let the action be the verb", tuple(evidence)))
     return out
 
 
-def _reference_comma_segments(store, i):
-    kind = store.kind
-    pos, end = store.sentence_token[i], store.sentence_token[i + 1]
-    comma = kind.find(document.COMMA_CODE, pos, end)
-    if comma < 0:
-        return []
-    segments = []
-    word = store.sentence_word[i]
-    while pos <= end:
-        stop = end if comma < 0 else comma
-        words = kind.count(document.WORD_CODE, pos, stop)
-        segments.append(([i for i in range(pos, stop) if kind[i] < document.PUNCTUATION_CODE],
-                         word, word + words))
-        word += words
-        pos = stop + 1
-        comma = kind.find(document.COMMA_CODE, pos, end)
-    return segments
+def _reference_comma_segments(sentence):
+    """The tokens of each comma-separated segment of the sentence, or []
+    without a comma."""
+    segments = [[]]
+    for token in sentence.tokens:
+        if token.text == ",":
+            segments.append([])
+        else:
+            segments[-1].append(token)
+    return segments if len(segments) > 1 else []
 
 
 def _reference_broken_core(doc, cfg):
-    lexicon, store = doc.lexicon, doc.store
-    words = store.word_lower
+    lexicon = doc.lexicon
     connectors = lexicon.coordinating | lexicon.subordinating | lexicon.conjunctive_adverbs
     subordinators = lexicon.subordinating - lexicon.coordinating
     out = []
-    for sentence in range(len(store.sentence_token) - 1):
-        segments = _reference_comma_segments(store, sentence)
+    for sentence in doc.iter_sentences():
+        segments = [([t for t in tokens if t.kind in (WORD, NUMBER)],
+                     _forms(t for t in tokens if t.kind == WORD))
+                    for tokens in _reference_comma_segments(sentence)]
         span = None
         if len(segments) >= 3:
-            (prefix, lo, _), (insertion, _, _) = segments[:2]
+            (prefix, _), (insertion, _) = segments[:2]
+            # A number has no case to fold, so it is tested as it stands.
             if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
-                    and (words[lo] if store.kind[prefix[0]] == document.WORD_CODE
-                         else store.source[store.start[prefix[0]]:store.end[prefix[0]]])
+                    and (prefix[0].text.lower() if prefix[0].kind == WORD else prefix[0].text)
                     not in connectors
                     and len(insertion) >= cfg.min_insertion_words
-                    and any(countable for countable, _, _ in segments[2:])):
-                span = store.sentence_span(sentence)
+                    and any(countable for countable, _ in segments[2:])):
+                span = sentence.span
                 out.append(Diagnostic(
                     "S103", span, len(insertion), cfg.min_insertion_words,
                     f"subject-verb core interrupted by a {len(insertion)}-word insertion",
-                    (store.token_span(insertion[0], insertion[-1] + 1),)))
+                    (_joined(insertion[0], insertion[-1]),)))
         if len(segments) >= 2:
             total = 0
             leads = []
-            for countable, lo, hi in segments:
+            for countable, forms in segments:
                 if countable and any(w in subordinators or (w.endswith("ing") and len(w) >= 5)
-                                     for w in words[lo:min(hi, lo + 2)]):
+                                     for w in forms[:2]):
                     total += len(countable)
-                    leads.append((countable[0], countable[-1] + 1))
+                    leads.append(_joined(countable[0], countable[-1]))
                 else:
                     break
             if leads and total >= cfg.max_delay_words:
                 out.append(Diagnostic(
-                    "S103", span or store.sentence_span(sentence), total, cfg.max_delay_words,
+                    "S103", span or sentence.span, total, cfg.max_delay_words,
                     f"subject-verb core delayed by {total} words of leading clauses",
-                    tuple([store.token_span(i, j) for i, j in leads])))
+                    tuple(leads)))
     return out
 
 
 def _reference_missing_link(doc, cfg):
-    store = doc.store
-    words, stems, bounds = store.word_lower, store.word_stem, store.sentence_word
     out = []
-    last, span = -1, None
-    for first, end in pairwise(store.paragraph_sentence):
-        for cur in range(first + 1, end):
-            if _reference_signals_link(words[bounds[cur]:bounds[cur + 1]], cfg, doc.lexicon):
+    for paragraph in doc.iter_paragraphs():
+        for prev, cur in pairwise(paragraph.sentences):
+            if _reference_signals_link(_forms(cur.words), cfg, doc.lexicon):
                 continue
-            prev = cur - 1
-            if set(filter(None, stems[bounds[prev]:bounds[prev + 1]])).isdisjoint(
-                    stems[bounds[cur]:bounds[cur + 1]]):
-                evidence = span if prev == last else store.sentence_span(prev)
-                last, span = cur, store.sentence_span(cur)
+            if set(prev.stems).isdisjoint(cur.stems):
                 out.append(Diagnostic(
-                    "S201", span, 0, 1, "no explicit link to the previous sentence (no "
-                    "leading connector, repeated key term, or demonstrative)", (evidence, span)))
+                    "S201", cur.span, 0, 1, "no explicit link to the previous sentence (no "
+                    "leading connector, repeated key term, or demonstrative)",
+                    (prev.span, cur.span)))
     return out
 
 
 def _reference_leading_detail(doc, cfg):
-    store = doc.store
-    words, bounds = store.word_lower, store.sentence_word
     out = []
-    for first, end in pairwise(store.paragraph_sentence):
-        if end - first < 4:
+    for paragraph in doc.iter_paragraphs():
+        if len(paragraph.sentences) < 4:
             continue
-        numbers = [i for i in range(store.sentence_token[first], store.sentence_token[first + 1])
-                   if store.kind[i] == document.NUMBER_CODE]
-        if not numbers or _reference_signals_link(words[bounds[first]:bounds[first + 1]], cfg,
-                                                  doc.lexicon):
+        first = paragraph.sentences[0]
+        numbers = [t.span for t in first.tokens if t.kind == NUMBER]
+        if not numbers or _reference_signals_link(_forms(first.words), cfg, doc.lexicon):
             continue
         out.append(Diagnostic(
-            "S302", store.sentence_span(first), len(numbers), 0,
+            "S302", first.span, len(numbers), 0,
             "paragraph opens on numeric detail; open with the point the numbers support",
-            tuple([store.token_span(i) for i in numbers])))
+            tuple(numbers)))
     return out
 
 
 def _reference_intensity_overuse(doc, cfg):
-    lexicon, store = doc.lexicon, doc.store
+    lexicon = doc.lexicon
     pages = doc.total_words / cfg.words_per_page
     if pages <= 0:
         return []
     families = {}
-    for i, word in enumerate(store.word_lower):
-        if word in lexicon.intensity_words:
-            families.setdefault(lexicon.folded_intensity_family(word), []).append(i)
+    for sentence in doc.iter_sentences():
+        for word in sentence.words:
+            form = word.text.lower()
+            if form in lexicon.intensity_words:
+                families.setdefault(lexicon.folded_intensity_family(form), []).append(word.span)
     out = []
     for family, hits in families.items():
         rate = len(hits) / pages
         if cfg.intensity_per_page < rate < math.inf:
             out.append(Diagnostic(
-                "S701", store.word_span(hits[0]), rate, cfg.intensity_per_page,
+                "S701", hits[0], rate, cfg.intensity_per_page,
                 f"'{family}' and kin appear {len(hits)} times in an estimated "
-                f"{pages:.1f} pages; swapping in synonyms will not help",
-                tuple([store.word_span(i) for i in hits])))
+                f"{pages:.1f} pages; swapping in synonyms will not help", tuple(hits)))
     return out
 
 
 def _reference_superlative_density(doc, cfg):
-    lexicon, store = doc.lexicon, doc.store
-    words = store.word_lower
+    lexicon = doc.lexicon
     pages = doc.total_words / cfg.words_per_page
     if pages <= 0:
         return []
     hits = []
-    for lo, hi in pairwise(store.sentence_word):
-        for i in range(lo, hi):
-            if words[i] in lexicon.superlatives:
-                hits.append((i, i + 1))
-            elif words[i] == "most" and i + 1 < hi and words[i + 1] not in lexicon.stopwords:
-                hits.append((i, i + 2))
+    for sentence in doc.iter_sentences():
+        words = sentence.words
+        forms = _forms(words)
+        for k, form in enumerate(forms):
+            if form in lexicon.superlatives:
+                hits.append(words[k].span)
+            elif (form == "most" and k + 1 < len(forms)
+                  and forms[k + 1] not in lexicon.stopwords):
+                hits.append(_joined(words[k], words[k + 1]))
     rate = len(hits) / pages
     if not hits or not cfg.superlative_per_page < rate < math.inf:
         return []
-    spans = tuple([store.word_span(i, j) for i, j in hits])
     return [Diagnostic(
-        "S702", spans[0], rate, cfg.superlative_per_page,
+        "S702", hits[0], rate, cfg.superlative_per_page,
         f"{len(hits)} superlatives in an estimated {pages:.1f} pages reads "
-        f"as rhetoric; answer the reader's logical questions instead", spans)]
+        f"as rhetoric; answer the reader's logical questions instead", tuple(hits))]
 
 
 _REFERENCE_DETECTORS = {
@@ -1324,7 +1325,9 @@ def test_parse_holds_few_tracked_objects_per_sentence():
 def test_parse_retains_few_bytes_per_source_character():
     # A token is an offset range into the source, so the parse keeps no copy
     # of any token's text: what it retains is a few arrays of 4-byte offsets
-    # and bounds, and the word arrays of shared lowercase forms and stems.
+    # and bounds, a kind code and a class byte per token, and a pointer per
+    # token to a shared stem or None. A word-aligned array on top of these
+    # would pass the bound.
     text = "\n\n".join(_RULE_PASSAGES * 150)
     gc.collect()
     tracemalloc.start()
@@ -1335,7 +1338,7 @@ def test_parse_retains_few_bytes_per_source_character():
     finally:
         tracemalloc.stop()
     assert doc.total_words > 40_000
-    assert retained / len(text) < 7
+    assert retained / len(text) < 4.6
 
 
 def test_one_long_paragraph_parses_in_bounded_memory():
@@ -1446,11 +1449,11 @@ def test_a_scan_with_other_stopwords_replaces_the_fold_table():
     classed = replace(default_lexicon(),
                       superlatives=default_lexicon().superlatives | {"model"})
     with _fresh_fold():
-        assert scan_text("The model", default_lexicon()).word_stem == [None, "model"]
+        assert scan_text("The model", default_lexicon()).stem == [None, "model"]
         table = document._fold
-        assert scan_text("The model", equal).word_stem == [None, "model"]
+        assert scan_text("The model", equal).stem == [None, "model"]
         assert document._fold is table
-        assert scan_text("The model", other).word_stem == [None, None]
+        assert scan_text("The model", other).stem == [None, None]
         assert document._fold is not table
         assert document._fold.lexicon == other
         table = document._fold
@@ -1474,7 +1477,7 @@ def test_a_scan_with_an_equal_stopword_set_keeps_the_table_and_takes_the_set():
         assert document._fold is table
         assert document._fold.lexicon is equal
         assert document._fold.lexicon.stopwords is equal.stopwords
-    assert doc.store.word_stem == [None, "model", "grow"]
+    assert doc.store.stem == [None, "model", "grow", None]
 
 
 def test_long_keys_keep_the_fold_table_within_its_cap():

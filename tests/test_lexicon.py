@@ -104,10 +104,14 @@ _FORM_CLASSES = {
 @pytest.mark.parametrize("word", ["Consolidation", "NATION", "Density", "Importantly",
                                   "SIGNIFICANTLY", "Only", "fly"])
 def test_predicates_lowercase_then_test_the_form(lex, word):
-    # The parse stores each word's lowercase form once, and the detectors
-    # test that form: a capitalised word classes as its lowercase form does.
-    (form,) = parse_document(word, PLAIN).store.word_lower
+    # The detectors read a word's lowercase form at the token, and its class
+    # byte is the form's: a capitalised word classes as its lowercase form
+    # does.
+    store = parse_document(word, PLAIN).store
+    assert len(store.kind) == 1
+    form = store.form(0)
     assert form == word.lower()
+    assert store.word_class[0] == lex.word_class(form)
     assert (lex.is_folded_nominalization(form),
             lex.folded_intensity_family(form)) == _FORM_CLASSES[form]
 
