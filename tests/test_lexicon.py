@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prose_clinic.document import PLAIN, parse_document
+from prose_clinic.document import PLAIN, WORD_CODE, parse_document
 from prose_clinic.lexicon import (
     BE_FORM,
     CONNECTOR,
@@ -108,7 +108,7 @@ def test_predicates_lowercase_then_test_the_form(lex, word):
     # byte is the form's: a capitalised word classes as its lowercase form
     # does.
     store = parse_document(word, PLAIN).store
-    assert len(store.kind) == 1
+    assert list(store.kind) == [WORD_CODE]
     form = store.form(0)
     assert form == word.lower()
     assert store.word_class[0] == lex.word_class(form)
