@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class ConfigError(ValueError):
@@ -77,7 +78,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, int | fl
 
 
 def load_config(path: str) -> AnalysisConfig:
-    """Read a config file and apply it over the defaults."""
+    """Read a config file and apply it over the defaults. The file is read
+    on every call, but a text is parsed only once: while the file's text is
+    unchanged, each call returns the same frozen config."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -85,5 +88,11 @@ def load_config(path: str) -> AnalysisConfig:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    overrides = parse_config_text(text, source=path)
-    return AnalysisConfig(**overrides)
+    return _config_from_text(text, path)
+
+
+# A file read again with the same text gives the same config without a parse.
+# The key holds the path, which error messages name; an error is not cached.
+@lru_cache(maxsize=8)
+def _config_from_text(text: str, path: str) -> AnalysisConfig:
+    return AnalysisConfig(**parse_config_text(text, source=path))

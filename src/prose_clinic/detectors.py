@@ -14,7 +14,10 @@ NUMBER tokens between them. A rule that tests a word's spelling reads its
 lowercase form at the hit (store.form, the form the scan folded), and
 sentences are compared on the content stems of their token ranges
 (store.stem, None for a stopword and for a token that is not a WORD); no
-rule tests a word's raw text.
+rule tests a word's raw text. S103 cuts a sentence into comma segments,
+token ranges, and takes each one's word count and its first and last
+counted token with a count, a find and an rfind in a mask of the kind codes
+(1 for WORD and NUMBER) translated once per document.
 S201 and S401 hand adjacent (prev, cur) sentence pairs to one loop, _breaks,
 which reports each pair that shares no content stem: S201 the pairs in a
 paragraph whose cur shows no link (_linked, which S302 also tests), and S401
@@ -30,7 +33,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, pairwise, repeat
+from itertools import pairwise, repeat
 from operator import sub
 from typing import Callable, NamedTuple
 
@@ -95,7 +98,13 @@ def _linked(store: TokenStore, window: int, lo: int = 0, hi: int | None = None) 
     kind, bounds = store.kind, store.sentence_token
     connectors = _hits(store, CONNECTOR, lo, hi)
     linked = set()
+    last = -1  # the sentence of the last connector tested
     for i, sentence in zip(connectors, _sentences(store, connectors)):
+        # A sentence's first connector has the fewest words before it, so
+        # it alone is tested: a long sentence costs one count, not one per hit.
+        if sentence == last:
+            continue
+        last = sentence
         first = bounds[sentence]
         # Fewer tokens than the window before it leave fewer words too.
         if i - first < window or kind.count(WORD_CODE, first, i) < window:
@@ -167,22 +176,6 @@ def detect_hidden_verb(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     return out
 
 
-def _comma_segments(store: TokenStore, i: int, comma: int) -> list[tuple[list[int], int, int]]:
-    """For each of the comma-separated segments of sentence i, whose first
-    comma is token comma, the indices of its countable tokens (words plus
-    numbers, as in sentence word counts) and its token range [lo, hi)."""
-    kind = store.kind
-    pos, end = store.sentence_token[i], store.sentence_token[i + 1]
-    segments = []
-    while pos <= end:
-        stop = end if comma < 0 else comma
-        segments.append((list(compress(range(pos, stop), kind[pos:stop].translate(_COUNTABLE))),
-                         pos, stop))
-        pos = stop + 1
-        comma = kind.find(COMMA_CODE, pos, end)
-    return segments
-
-
 def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     """S103: the subject-verb core is interrupted by a long comma insertion,
     or delayed past max_delay_words of leading clauses. A leading clause is
@@ -190,45 +183,61 @@ def detect_broken_core(doc: Document, cfg: AnalysisConfig) -> list[Diagnostic]:
     letters among its first two words."""
     lexicon, store = doc.lexicon, doc.store
     classes, kind, tokens = store.word_class, store.kind, store.sentence_token
-    lead = _mask(_LEAD)
-    out = []
     # Only a sentence with a comma has two segments or more.
     comma = kind.find(COMMA_CODE)
+    if comma < 0:
+        return []
+    countable = kind.translate(_COUNTABLE)
+    lead = _mask(_LEAD)
+    out = []
     while comma >= 0:
         sentence = bisect_right(tokens, comma) - 1
-        segments = _comma_segments(store, sentence, comma)
-        comma = kind.find(COMMA_CODE, tokens[sentence + 1])
+        pos, end = tokens[sentence], tokens[sentence + 1]
+        # The token ranges [lo, hi) between the sentence's commas; a segment's
+        # words (and numbers, as in sentence word counts) are the 1s of
+        # countable in its range.
+        segments = []
+        while pos <= end:
+            stop = end if comma < 0 else comma
+            segments.append((pos, stop))
+            pos = stop + 1
+            comma = kind.find(COMMA_CODE, pos, end)
+        comma = kind.find(COMMA_CODE, end)
         span = None  # the sentence's span, built for its first finding
         if len(segments) >= 3:
-            (prefix, _, _), (insertion, _, _) = segments[:2]
+            (prefix_lo, prefix_hi), (lo, hi) = segments[:2]
+            prefix = countable.count(1, prefix_lo, prefix_hi)
+            inserted = countable.count(1, lo, hi)
+            first = countable.find(1, prefix_lo, prefix_hi)
             # A number has no case to fold, so it is classed as it stands.
-            if (1 <= len(prefix) <= cfg.max_core_prefix_tokens
+            if (1 <= prefix <= cfg.max_core_prefix_tokens
                     and not CONNECTOR & (
-                        classes[prefix[0]] if kind[prefix[0]] == WORD_CODE
-                        else lexicon.word_class(store.source[store.start[prefix[0]]:
-                                                             store.end[prefix[0]]]))
-                    and len(insertion) >= cfg.min_insertion_words
-                    and any(countable for countable, _, _ in segments[2:])):
+                        classes[first] if kind[first] == WORD_CODE
+                        else lexicon.word_class(store.source[store.start[first]:
+                                                             store.end[first]]))
+                    and inserted >= cfg.min_insertion_words
+                    and countable.find(1, segments[2][0], end) >= 0):
                 span = store.sentence_span(sentence)
                 out.append(Diagnostic(
                     "S103", span,
-                    len(insertion), cfg.min_insertion_words,
+                    inserted, cfg.min_insertion_words,
                     f"subject-verb core interrupted by a "
-                    f"{len(insertion)}-word insertion",
-                    (store.token_span(insertion[0], insertion[-1] + 1),),
+                    f"{inserted}-word insertion",
+                    (store.token_span(countable.find(1, lo, hi),
+                                      countable.rfind(1, lo, hi) + 1),),
                 ))
         if len(segments) >= 2:
             total = 0
             leads = []
-            for countable, lo, hi in segments:
+            for lo, hi in segments:
                 # A lead segment opens with a subordinator or an -ing form,
                 # possibly behind one extra word ("even though ...", "and
                 # listening ..."): fewer than two words come before its
                 # first word of either class.
                 first = classes[lo:hi].translate(lead).find(1)
                 if first >= 0 and kind.count(WORD_CODE, lo, lo + first) < 2:
-                    total += len(countable)
-                    leads.append((countable[0], countable[-1] + 1))
+                    total += countable.count(1, lo, hi)
+                    leads.append((countable.find(1, lo, hi), countable.rfind(1, lo, hi) + 1))
                 else:
                     break
             if leads and total >= cfg.max_delay_words:

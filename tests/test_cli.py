@@ -291,6 +291,61 @@ def test_lexicon_extension_adds_superlatives(tmp_path, capsys):
     assert " S702 " in capsys.readouterr().out
 
 
+def test_config_and_lexicon_rewritten_between_runs_take_effect(tmp_path, capsys):
+    # One process, one path each, the same text length: only the new text
+    # tells the second run from the first.
+    shiny = "This is the shiniest method, and the shiniest result of the field."
+    doc = write(tmp_path, "doc.txt",
+                paragraphs([shiny] + [FILLER_SHORT] * 7, per_paragraph=4) + "\n")
+    cfg = write(tmp_path, "clinic.cfg", "max_sentence_words = 90\n")
+    words = write(tmp_path, "extra.lex", "[superlatives]\nshiniest\n")
+    args = ["analyze", "--format", "plain", "--output", "machine", "--rules", "S101,S702",
+            "--config", cfg, "--lexicon", words, doc]
+    assert run(args) == 1
+    first = {d["rule_id"] for d in json.loads(capsys.readouterr().out)["diagnostics"]}
+    assert first == {"S702"}
+    write(tmp_path, "clinic.cfg", "max_sentence_words = 10\n")
+    write(tmp_path, "extra.lex", "[superlatives]\nglossiest\n")
+    assert run(args) == 1
+    second = {d["rule_id"] for d in json.loads(capsys.readouterr().out)["diagnostics"]}
+    assert second == {"S101"}
+
+
+@pytest.mark.parametrize("flag,name,bad,good", [
+    ("--config", "clinic.cfg", "wordiness = 9\n", "max_sentence_words = 9\n"),
+    ("--lexicon", "extra.lex", "[shiny]\nbest\n", "[superlatives]\nbest\n"),
+])
+def test_a_malformed_file_fails_on_every_run(tmp_path, capsys, flag, name, bad, good):
+    doc = write(tmp_path, "doc.txt", FILLER + "\n")
+    path = write(tmp_path, name, bad)
+    for _ in range(2):
+        assert run(["analyze", flag, path, doc]) == 2
+        assert capsys.readouterr().err.startswith(f"clinic: {path}:")
+    write(tmp_path, name, good)
+    assert run(["analyze", flag, path, doc]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    write(tmp_path, name, bad)
+    assert run(["analyze", flag, path, doc]) == 2
+
+
+def test_each_run_parses_with_the_same_lexicon_object(tmp_path, capsys):
+    # The fold table of the parse is kept while the lexicon is the same object.
+    doc = write(tmp_path, "doc.txt", FILLER + "\n")
+    words = write(tmp_path, "extra.lex", "[superlatives]\nshiniest\n")
+    seen = []
+    parse = document.parse_document
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["lexicon"])
+        return parse(*args, **kwargs)
+
+    with mock.patch("prose_clinic.cli.parse_document", spy):
+        for _ in range(2):
+            assert run(["analyze", "--lexicon", words, doc]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert "shiniest" in seen[0].superlatives
+
+
 @pytest.mark.parametrize("name", ["missing.lex", "folder.lex"])
 def test_unreadable_lexicon_exits_two_without_traceback(tmp_path, capsys, name):
     (tmp_path / "folder.lex").mkdir()

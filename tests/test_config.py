@@ -82,3 +82,22 @@ def test_load_config_ignores_byte_order_mark(tmp_path):
     path = tmp_path / "clinic.cfg"
     path.write_text("\ufeffmax_sentence_words = 30\n", encoding="utf-8")
     assert load_config(str(path)).max_sentence_words == 30
+
+
+def test_an_unchanged_config_file_gives_the_same_object(tmp_path):
+    path = tmp_path / "clinic.cfg"
+    path.write_text("max_sentence_words = 10\n", encoding="utf-8")
+    first = load_config(str(path))
+    assert load_config(str(path)) is first
+    path.write_text("max_sentence_words = 11\n", encoding="utf-8")
+    assert load_config(str(path)).max_sentence_words == 11
+    path.write_text("max_sentence_words = 10\n", encoding="utf-8")
+    assert load_config(str(path)) == first
+
+
+def test_a_malformed_config_file_raises_on_every_call(tmp_path):
+    path = tmp_path / "clinic.cfg"
+    path.write_text("max_sentence_words = 0\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="max_sentence_words"):
+            load_config(str(path))

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ import prose_clinic
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Severity, run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
+from prose_clinic.maladies import extract_keywords, infer_maladies
+from prose_clinic.reporting import build_report, render_machine
 
 from docbuild import (
     FILLER,
@@ -193,6 +197,18 @@ def test_s103_lead_opens_within_its_first_two_words():
                            ("12 13 14 because dawn came, we slept.", 6)]:
         (diag,) = detect("S103", text, cfg=LEAD_CFG)
         assert diag.measured == measured
+
+
+def test_s103_evidence_runs_from_a_segment_first_word_to_its_last():
+    # Marks at a segment's edges are left out of its evidence.
+    text = '"Because dawn came, "waiting long," we slept.'
+    (diag,) = detect("S103", text, cfg=LEAD_CFG)
+    assert [text[s.start_byte:s.end_byte] for s in diag.evidence] == [
+        "Because dawn came", "waiting long"]
+    text = 'We, "as the long day wore on into the night," slept.'
+    (diag,) = detect("S103", text)
+    assert [text[s.start_byte:s.end_byte] for s in diag.evidence] == [
+        "as the long day wore on into the night"]
 
 
 # --- S201: unlinked sentences ----------------------------------------------
@@ -534,3 +550,63 @@ def test_readme_names_every_public_name():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     library_use = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     assert [name for name in prose_clinic.__all__ if f"`{name}`" not in library_use] == []
+
+
+# Worst-case inputs for the time an analysis takes, as (unit, tail, format,
+# size): the unit repeated to about size characters, then the tail. The
+# first four are one long sentence; the others are runs of short sentences,
+# of abbreviations, of unclosed markers, of headings, of hits of one rule, of
+# blank lines, one long word, a hyphen chain and a digit group, and many
+# markers of one footnote. The two sentences full of connectors, where S201
+# once took quadratic time, are twice as long, so that that stage outweighs
+# the linear ones.
+_WORST_CASES = {
+    "connector-commas": ("When a, ", "x.", PLAIN, 50_000),
+    "connectors": ("x and ", "x.", PLAIN, 50_000),
+    "commas": ("a, ", "x.", PLAIN, 25_000),
+    "demonstratives": ("this x ", "x.", PLAIN, 25_000),
+    "sentences": ("A. ", "", PLAIN, 25_000),
+    "linked-sentences": ("So x. ", "", PLAIN, 25_000),
+    "abbreviations": ("e.g. ", "", PLAIN, 25_000),
+    "open-markers": ("[^", "", MARKDOWN, 25_000),
+    "headings": ("# h\n", "", MARKDOWN, 25_000),
+    "most": ("most ", "", PLAIN, 25_000),
+    "gerunds": ("is the testing of ", "", PLAIN, 25_000),
+    "blank-lines": ("\n", "", PLAIN, 25_000),
+    "long-word": ("a", "", PLAIN, 25_000),
+    "hyphen-chain": ("a-", "a", PLAIN, 25_000),
+    "digit-group": ("1,", "1", PLAIN, 25_000),
+    "markers": ("x[^1] ", "\n\n[^1]: A note.\n", MARKDOWN, 25_000),
+}
+
+
+def _analyse(text, fmt):
+    doc = parse_document(text, fmt)
+    diagnostics = run_all(doc, CFG)
+    findings = infer_maladies(doc, diagnostics, CFG, extract_keywords(doc, CFG))
+    return render_machine(build_report("worst-case", CFG, diagnostics, findings))
+
+
+def _seconds(text, fmt):
+    gc.collect()
+    start = time.perf_counter()
+    _analyse(text, fmt)
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("shape", _WORST_CASES)
+def test_analysis_time_grows_linearly_on_worst_case_input(shape):
+    # Parse, rules, maladies and machine output on a text and on one four
+    # times as long: linear work takes ~4 times as long on the larger text,
+    # quadratic work ~16 times. The bound of 8 is an exponent of 1.5. Each
+    # size is timed three times and the fastest counts; once a run of the
+    # larger text is under the bound, further runs could only lower it.
+    unit, tail, fmt, size = _WORST_CASES[shape]
+    small, large = (unit * (n // len(unit)) + tail for n in (size, 4 * size))
+    fastest = min(_seconds(small, fmt) for _ in range(3))
+    ratios = []
+    for _ in range(3):
+        ratios.append(_seconds(large, fmt) / fastest)
+        if ratios[-1] < 8:
+            break
+    assert min(ratios) < 8, ratios

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -241,3 +243,38 @@ def test_unreadable_extension_file_is_a_lexicon_error(tmp_path):
         load_lexicon_extensions(str(tmp_path / "nope.lex"))
     with pytest.raises(LexiconError):
         load_lexicon_extensions(str(tmp_path))
+
+
+def test_an_unchanged_extension_file_gives_the_same_object(tmp_path, lex):
+    ext = tmp_path / "extra.lex"
+    ext.write_text("[superlatives]\nshiniest\n", encoding="utf-8")
+    first = load_lexicon_extensions(str(ext), lex)
+    assert load_lexicon_extensions(str(ext), lex) is first
+    assert load_lexicon_extensions(str(ext)) is first  # the default base
+    ext.write_text("[superlatives]\nglossiest\n", encoding="utf-8")
+    second = load_lexicon_extensions(str(ext), lex)
+    assert "glossiest" in second.superlatives and "shiniest" not in second.superlatives
+    # CRLF and lone CR line ends read as "\n", as in any text file.
+    ext.write_bytes(b"[superlatives]\r\nshiniest\rglossiest\r\n")
+    assert {"shiniest", "glossiest"} <= load_lexicon_extensions(str(ext), lex).superlatives
+
+
+def test_an_extension_file_extends_a_base_of_plain_sets(tmp_path, lex):
+    # A base is told apart by identity: plain sets cannot be hashed.
+    base = replace(lex, superlatives=set(lex.superlatives), stopwords=set(lex.stopwords))
+    other = replace(lex, superlatives=set(lex.superlatives) | {"glossiest"})
+    ext = tmp_path / "extra.lex"
+    ext.write_text("[superlatives]\nshiniest\n", encoding="utf-8")
+    extended = load_lexicon_extensions(str(ext), base)
+    assert extended.superlatives == lex.superlatives | {"shiniest"}
+    assert extended.stopwords is base.stopwords
+    assert load_lexicon_extensions(str(ext), base) is extended
+    assert "glossiest" in load_lexicon_extensions(str(ext), other).superlatives
+
+
+def test_a_malformed_extension_file_raises_on_every_call(tmp_path):
+    ext = tmp_path / "bad.lex"
+    ext.write_text("[verbs]\nrun\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(LexiconError, match="verbs"):
+            load_lexicon_extensions(str(ext))
