@@ -580,17 +580,14 @@ _WORST_CASES = {
 }
 
 
-def _analyse(text, fmt):
+def _seconds(text, fmt):
+    """The time of one analysis of text, from the parse to machine output."""
+    gc.collect()
+    start = time.perf_counter()
     doc = parse_document(text, fmt)
     diagnostics = run_all(doc, CFG)
     findings = infer_maladies(doc, diagnostics, CFG, extract_keywords(doc, CFG))
-    return render_machine(build_report("worst-case", CFG, diagnostics, findings))
-
-
-def _seconds(text, fmt):
-    gc.collect()
-    start = time.perf_counter()
-    _analyse(text, fmt)
+    render_machine(build_report("worst-case", CFG, diagnostics, findings))
     return time.perf_counter() - start
 
 
