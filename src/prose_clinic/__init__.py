@@ -3,6 +3,7 @@ the maladies behind them."""
 
 __version__ = "0.1.0"
 
+from .cli import analyze
 from .config import AnalysisConfig, ConfigError, load_config, parse_config_text
 from .detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Rule, Severity, run_all
 from .document import (Document, DocumentStructureError, Footnote, Paragraph, Section, Sentence,
@@ -36,6 +37,7 @@ __all__ = [
     "Severity",
     "Span",
     "Token",
+    "analyze",
     "build_report",
     "default_lexicon",
     "extract_keywords",

@@ -17,7 +17,20 @@ from .detectors import run_all, select_rules
 from .document import FORMATS, MARKDOWN, DocumentStructureError, parse_document
 from .lexicon import LexiconError, default_lexicon, load_lexicon_extensions
 from .maladies import extract_keywords, infer_maladies
-from .reporting import build_report, render_human, render_machine
+from .reporting import Report, build_report, render_human, render_machine
+
+
+# analyze calls each stage by its name in this module: perfbench/tracer.py
+# times the stages by swapping these names here, so called from another
+# module, every traced per-layer metric would silently read 0.
+def analyze(source: str, format: str, cfg: AnalysisConfig, *, lexicon=None, rules=None,
+            name: str = "") -> Report:
+    """The report of one text: parse it, run the rules (all, or those named in
+    rules), extract its keywords and infer its maladies."""
+    doc = parse_document(source, format, lexicon=lexicon, words_per_page=cfg.words_per_page)
+    diagnostics = run_all(doc, cfg, rules=rules)
+    findings = infer_maladies(doc, diagnostics, cfg, extract_keywords(doc, cfg))
+    return build_report(name, cfg, diagnostics, findings)
 
 
 # Built once per process: parse_args does not change the parser.
@@ -105,25 +118,17 @@ def run(argv=None) -> int:
                 # otherwise read as the first character of the text.
                 with open(path, encoding="utf-8-sig") as fh:
                     source = fh.read()
-                doc = parse_document(source, args.format, lexicon=lexicon,
-                                     words_per_page=cfg.words_per_page)
-            except OSError as exc:
-                print(f"clinic: {name}: {exc.strerror or exc}", file=sys.stderr)
+                report = analyze(source, args.format, cfg, lexicon=lexicon, rules=rules,
+                                 name=name)
+            except (OSError, UnicodeDecodeError, DocumentStructureError) as exc:
+                # An OSError's strerror leaves out the path, which name gives.
+                print(f"clinic: {name}: {getattr(exc, 'strerror', None) or exc}",
+                      file=sys.stderr)
                 failed = True
                 continue
-            except (UnicodeDecodeError, DocumentStructureError) as exc:
-                print(f"clinic: {name}: {exc}", file=sys.stderr)
-                failed = True
-                continue
-            diagnostics = run_all(doc, cfg, rules=rules)
-            keywords = extract_keywords(doc, cfg)
-            findings = infer_maladies(doc, diagnostics, cfg, keywords)
-            report = build_report(name, cfg, diagnostics, findings)
-            if args.output == "machine":
-                sys.stdout.write(render_machine(report))
-            else:
-                sys.stdout.write(render_human(report))
-            if diagnostics or findings:
+            render = render_machine if args.output == "machine" else render_human
+            sys.stdout.write(render(report))
+            if report.diagnostics or report.maladies:
                 found_anything = True
         # Flush inside the try, so that a reader that went away is seen here.
         sys.stdout.flush()

@@ -31,31 +31,26 @@ class AnalysisConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            integer = f.name in INT_FIELDS
-            # An int field takes an int, the others any number, and max_pages
-            # also None; a bool is no number. The chained comparison is false
-            # for NaN as well.
-            if not (value is None and f.name == "max_pages") and (
-                    isinstance(value, bool)
-                    or not isinstance(value, int if integer else (int, float))
-                    or not 0 < value < math.inf):
-                raise ConfigError(f"{f.name} must be a positive, finite "
-                                  f"{'integer' if integer else 'number'}, got {value!r}")
+            _check_value(f.name, getattr(self, f.name))
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(AnalysisConfig)}
 INT_FIELDS = frozenset(name for name, tp in _FIELD_TYPES.items() if tp == "int")
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        if key in INT_FIELDS:
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        kind = "an integer" if key in INT_FIELDS else "a number"
-        raise ConfigError(f"config key {key!r} needs {kind}, got {raw!r}") from None
+def _check_value(key: str, value, where: str = ""):
+    """value, if field key may hold it; where starts the error's message."""
+    integer = key in INT_FIELDS
+    # An int field takes an int, the others any number, and max_pages also
+    # None; a bool is no number. The chained comparison is false for NaN as
+    # well.
+    if not (value is None and key == "max_pages") and (
+            isinstance(value, bool)
+            or not isinstance(value, int if integer else (int, float))
+            or not 0 < value < math.inf):
+        raise ConfigError(f"{where}{key} must be a positive, finite "
+                          f"{'integer' if integer else 'number'}, got {value!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, int | float]:
@@ -66,14 +61,20 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, int | fl
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{source}:{lineno}: "
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{where}expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _parse_value(key, value)
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        try:
+            number = int(value) if key in INT_FIELDS else float(value)
+        except ValueError:
+            kind = "an integer" if key in INT_FIELDS else "a number"
+            raise ConfigError(f"{where}config key {key!r} needs {kind}, got {value!r}") from None
+        overrides[key] = _check_value(key, number, where)
     return overrides
 
 

@@ -41,7 +41,6 @@ index, only for what they report.
 from __future__ import annotations
 
 import re
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -99,25 +98,22 @@ class Token:
     span: Span
 
 
-# The suffix that makes a quantifier possessive, on Python 3.11 and later
-# (3.10 has no possessive quantifiers). Each quantified part of the chunk
-# pattern is followed by a character that it cannot match, and everything
-# after a unit is optional, so no match ever backtracks into one of them and
-# both forms give the same chunks; the possessive one gives them faster.
-_P = "+" if sys.version_info >= (3, 11) else ""
+# The chunk pattern's quantifiers are possessive (++, *+), which is faster and
+# gives the same chunks: each quantified part is followed by a character it
+# cannot match, and all after a unit is optional, so no match backtracks into one.
 # Digit groups may join on . or , ("0.35", "200,000"); alphanumeric runs may
 # join on hyphens or apostrophes.
-_UNIT = rf"(?:\d+{_P}(?:[.,]\d+{_P})+{_P}|[^\W_]+{_P})"
+_UNIT = r"(?:\d++(?:[.,]\d++)++|[^\W_]++)"
 # Footnote ids, in markers and definitions alike: no whitespace, "[" or "]".
 # Without "[", a run of "[^" cannot restart the scan at every bracket.
-_ID = rf"[^\[\]\s]+{_P}"
+_ID = r"[^\[\]\s]++"
 _MARKER = rf"\[\^{_ID}\]"
 # A chunk is a token with the whitespace before it: a footnote marker, a
 # word-like token, or any other non-space character as a mark. Tokens never
 # hold whitespace, and at a non-space character one of the alternatives
 # always matches, so the chunks of a range that ends on a token are its
 # tokens.
-_CHUNK_RE = re.compile(rf"\s*{_P}(?:{_MARKER}|{_UNIT}(?:[-‐‑'’]{_UNIT})*{_P}|\S)")
+_CHUNK_RE = re.compile(rf"\s*+(?:{_MARKER}|{_UNIT}(?:[-‐‑'’]{_UNIT})*+|\S)")
 # The end of a token: a non-space character and the whitespace after it.
 _TOKEN_END_RE = re.compile(r"\S\s")
 _MARKER_RE = re.compile(_MARKER)

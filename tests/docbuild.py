@@ -52,6 +52,15 @@ def footnote_document(sentences, note_count, per_paragraph=5):
     return body + "\n\n" + note_definitions(ids) + "\n"
 
 
+def composite_document(note_count=11, intensity=31):
+    """12000 words in one section: opener storyline break, footnote pile,
+    one overworked intensity family."""
+    opening = [FILLER] * 5
+    second = [SURVEY] + [FILLER] * 4
+    rest = interleave(FILLER, INTENSITY_ADJ, 990, intensity)
+    return footnote_document(opening + second + rest, note_count)
+
+
 def interleave(base_sentence, marked_sentence, total, marked):
     """total sentences with marked copies of marked_sentence spread evenly."""
     positions = set()

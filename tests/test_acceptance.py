@@ -6,25 +6,20 @@ Each test covers one numbered criterion and prints one PASS/FAIL line
 
 import random
 
+from prose_clinic.cli import analyze
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.detectors import RULES, run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
-from prose_clinic.maladies import MaladyKind, extract_keywords, infer_maladies
-from prose_clinic.reporting import (
-    build_report,
-    parse_machine,
-    render_human,
-    render_machine,
-)
+from prose_clinic.maladies import MaladyKind
+from prose_clinic.reporting import parse_machine, render_human, render_machine
 
 from docbuild import (
     FILLER,
     FILLER_TINY,
     INTENSITY_ADJ,
     INTENSITY_ADV,
-    SURVEY,
+    composite_document,
     footnote_document,
-    interleave,
     paragraphs,
 )
 from passages import (
@@ -125,13 +120,7 @@ def test_criterion_08_intensity_boundary():
 
 
 def test_criterion_09_faulty_rap_composite():
-    opening = [FILLER] * 5
-    second = [SURVEY] + [FILLER] * 4
-    rest = interleave(FILLER, INTENSITY_ADJ, 990, 31)
-    text = footnote_document(opening + second + rest, 11)
-    doc = parse_document(text, MARKDOWN)
-    diags = run_all(doc, CFG)
-    findings = infer_maladies(doc, diags, CFG)
+    findings = analyze(composite_document(), MARKDOWN, CFG).maladies
     ok = (len(findings) == 1
           and findings[0].kind is MaladyKind.FAULTY_RAP
           and findings[0].strength == 3
@@ -223,11 +212,7 @@ def _spans_sound(doc):
 
 
 def _full_render(text):
-    doc = parse_document(text, MARKDOWN)
-    diags = run_all(doc, CFG)
-    findings = infer_maladies(doc, diags, CFG,
-                              keywords=extract_keywords(doc, CFG))
-    report = build_report("doc.md", CFG, diags, findings)
+    report = analyze(text, MARKDOWN, CFG, name="doc.md")
     return render_human(report) + render_machine(report)
 
 
@@ -259,10 +244,7 @@ def test_criterion_10_property_suite():
 
     # (d) machine round-trip equality.
     for text in corpus[:20]:
-        doc = parse_document(text, MARKDOWN)
-        diags = run_all(doc, CFG)
-        findings = infer_maladies(doc, diags, CFG)
-        report = build_report("doc.md", CFG, diags, findings)
+        report = analyze(text, MARKDOWN, CFG, name="doc.md")
         if parse_machine(render_machine(report)) != report:
             failures.append("machine round-trip")
             break

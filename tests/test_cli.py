@@ -7,17 +7,22 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prose_clinic import document
+from prose_clinic import cli, document
 from prose_clinic.cli import run
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.document import FORMATS
 from prose_clinic.reporting import parse_machine, render_machine
+
+# The names perfbench/tracer.py times in cli, read from the benchmark itself.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracer import CLI_CALLS  # noqa: E402
 
 from docbuild import FILLER, FILLER_SHORT, INTENSITY_ADV, paragraphs
 from passages import (
@@ -225,7 +230,15 @@ def test_non_numeric_config_value_errors(tmp_path, capsys):
     cfg = write(tmp_path, "clinic.cfg", "max_sentence_words = plenty\n")
     assert run(["analyze", "--config", cfg, doc]) == 2
     err = capsys.readouterr().err
-    assert "max_sentence_words" in err and "plenty" in err
+    assert "max_sentence_words" in err and "plenty" in err and ":1:" in err
+
+
+def test_out_of_range_config_value_errors(tmp_path, capsys):
+    doc = write(tmp_path, "doc.txt", FILLER)
+    cfg = write(tmp_path, "clinic.cfg", "max_delay_words = 9\nmax_sentence_words = 0\n")
+    assert run(["analyze", "--config", cfg, doc]) == 2
+    err = capsys.readouterr().err
+    assert "max_sentence_words" in err and "got 0" in err and ":2:" in err
 
 
 def test_nonpositive_flag_errors(tmp_path, capsys):
@@ -344,6 +357,22 @@ def test_each_run_parses_with_the_same_lexicon_object(tmp_path, capsys):
             assert run(["analyze", "--lexicon", words, doc]) == 0
     assert len(seen) == 2 and seen[0] is seen[1]
     assert "shiniest" in seen[0].superlatives
+
+
+def test_run_calls_every_name_the_benchmark_traces(tmp_path, capsys, monkeypatch):
+    # perfbench/tracer.py times each stage by swapping its name in cli's
+    # namespace: a name that cli imports but no longer calls would read 0 s
+    # there, without an error.
+    spies = {name: mock.Mock(wraps=getattr(cli, name)) for name in CLI_CALLS}
+    for name, spy in spies.items():
+        monkeypatch.setattr(cli, name, spy)
+    doc = write(tmp_path, "doc.txt", STROSIS_UNLINKED + "\n")
+    cfg = write(tmp_path, "clinic.cfg", "max_sentence_words = 9\n")
+    words = write(tmp_path, "extra.lex", "[superlatives]\nshiniest\n")
+    for output in ("human", "machine"):
+        assert run(["analyze", "--output", output, "--config", cfg, "--lexicon", words,
+                    doc]) == 1
+    assert [name for name, spy in spies.items() if not spy.called] == []
 
 
 @pytest.mark.parametrize("name", ["missing.lex", "folder.lex"])

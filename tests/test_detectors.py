@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import prose_clinic
+from prose_clinic.cli import analyze
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Severity, run_all
+from prose_clinic.detectors import REGISTRY, RULE_IDS, RULES, Severity, run_all
 from prose_clinic.document import MARKDOWN, PLAIN, parse_document
-from prose_clinic.maladies import extract_keywords, infer_maladies
-from prose_clinic.reporting import build_report, render_machine
+from prose_clinic.reporting import render_machine
 
 from docbuild import (
     FILLER,
@@ -584,10 +584,7 @@ def _seconds(text, fmt):
     """The time of one analysis of text, from the parse to machine output."""
     gc.collect()
     start = time.perf_counter()
-    doc = parse_document(text, fmt)
-    diagnostics = run_all(doc, CFG)
-    findings = infer_maladies(doc, diagnostics, CFG, extract_keywords(doc, CFG))
-    render_machine(build_report("worst-case", CFG, diagnostics, findings))
+    render_machine(analyze(text, fmt, CFG, name="worst-case"))
     return time.perf_counter() - start
 
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prose_clinic import document
+from prose_clinic.cli import analyze
 from prose_clinic.config import AnalysisConfig
 from prose_clinic.detectors import RULE_IDS, Diagnostic, run_all
 from prose_clinic.document import (
@@ -1255,12 +1256,29 @@ def test_run_all_selects_and_sorts(text, fmt, cfg, rules):
 @settings(deadline=None)
 @given(_RULE_TEXT, st.sampled_from(FORMATS), _CONFIGS)
 def test_machine_report_round_trips_for_arbitrary_text(text, fmt, cfg):
-    doc = _parse_or_none(text, fmt)
-    if doc is None:
+    try:
+        report = analyze(text, fmt, cfg, name="doc")
+    except DocumentStructureError:
         return
-    diagnostics = run_all(doc, cfg)
-    report = build_report("doc", cfg, diagnostics, infer_maladies(doc, diagnostics, cfg))
     assert parse_machine(render_machine(report)) == report
+
+
+@settings(deadline=None)
+@given(_RULE_TEXT, st.sampled_from(FORMATS), _CONFIGS,
+       st.none() | st.sets(st.sampled_from(RULE_IDS)), _CLASS_LEXICONS)
+def test_analyze_equals_the_pipeline_stage_by_stage(text, fmt, cfg, rules, lexicon):
+    try:
+        doc = parse_document(text, fmt, lexicon=lexicon, words_per_page=cfg.words_per_page)
+    except DocumentStructureError as exc:
+        with pytest.raises(DocumentStructureError) as raised:
+            analyze(text, fmt, cfg, lexicon=lexicon, rules=rules)
+        assert ((str(raised.value), raised.value.footnote_id, raised.value.span)
+                == (str(exc), exc.footnote_id, exc.span))
+        return
+    d = run_all(doc, cfg, rules=rules)
+    expected = build_report("doc", cfg, d, infer_maladies(doc, d, cfg, extract_keywords(doc, cfg)))
+    # vars compares the reports field for field, and shows which field differs.
+    assert vars(analyze(text, fmt, cfg, lexicon=lexicon, rules=rules, name="doc")) == vars(expected)
 
 
 # The unit each rule judges; a finding's span and evidence lie inside one.

@@ -26,8 +26,7 @@ from docbuild import (
     INTENSITY_ADJ,
     INTENSITY_ADV,
     SURVEY,
-    footnote_document,
-    interleave,
+    composite_document,
     note_definitions,
     with_marker,
 )
@@ -88,14 +87,11 @@ def corpus() -> dict[str, str]:
     ) + "\n"
     plain_opening = [p.replace("[^1]", "") for p in OPENING]
     symptoms_txt = "\n\n".join(plain_opening + BASIS + SURVEY_SECTION) + "\n"
-    composite = footnote_document(
-        [FILLER] * 5 + [SURVEY] + [FILLER] * 4
-        + interleave(FILLER, INTENSITY_ADJ, 990, 31), 11)
     return {
         "clean.txt": FILLER + "\n",
         "symptoms.md": symptoms_md,
         "symptoms.txt": symptoms_txt,
-        "composite.md": composite,
+        "composite.md": composite_document(),
         "layout.md": LAYOUT,
     }
 

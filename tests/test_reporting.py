@@ -6,20 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prose_clinic.cli import analyze
 from prose_clinic.config import AnalysisConfig
-from prose_clinic.detectors import REGISTRY, RULE_IDS, Diagnostic, run_all
-from prose_clinic.document import MARKDOWN, PLAIN, Span, parse_document
-from prose_clinic.maladies import (EvidenceRef, MaladyFinding, MaladyKind, extract_keywords,
-                                   infer_maladies)
-from prose_clinic.reporting import (
-    Report,
-    build_report,
-    parse_machine,
-    render_human,
-    render_machine,
-)
+from prose_clinic.detectors import REGISTRY, RULE_IDS, Diagnostic
+from prose_clinic.document import MARKDOWN, PLAIN, Span
+from prose_clinic.maladies import EvidenceRef, MaladyFinding, MaladyKind
+from prose_clinic.reporting import Report, parse_machine, render_human, render_machine
 
-from docbuild import FILLER, INTENSITY_ADJ, SURVEY, footnote_document, interleave
+from docbuild import FILLER, composite_document
 from passages import STROSIS_UNLINKED
 
 CFG = AnalysisConfig()
@@ -36,19 +30,8 @@ EXPECTED_GUIDE_SECTIONS = {
 }
 
 
-def report_for(text, name="doc.md", fmt=MARKDOWN, cfg=CFG):
-    doc = parse_document(text, fmt)
-    diags = run_all(doc, cfg)
-    findings = infer_maladies(doc, diags, cfg,
-                              keywords=extract_keywords(doc, cfg))
-    return build_report(name, cfg, diags, findings)
-
-
-def composite_text():
-    opening = [FILLER] * 5
-    second = [SURVEY] + [FILLER] * 4
-    rest = interleave(FILLER, INTENSITY_ADJ, 990, 31)
-    return footnote_document(opening + second + rest, 11)
+def composite_report():
+    return analyze(composite_document(), MARKDOWN, CFG, name="doc.md")
 
 
 # --- treatment hints -------------------------------------------------------
@@ -69,7 +52,7 @@ def test_unknown_rule_raises_key_error():
 # --- human rendering ---------------------------------------------------------
 
 def test_human_header_and_line_shape():
-    report = report_for(STROSIS_UNLINKED, name="notes.txt", fmt=PLAIN)
+    report = analyze(STROSIS_UNLINKED, PLAIN, CFG, name="notes.txt")
     out = render_human(report)
     lines = out.splitlines()
     assert lines[0] == "notes.txt: 2 finding(s), 0 malady(ies)"
@@ -82,12 +65,12 @@ def test_human_header_and_line_shape():
 
 
 def test_human_no_findings():
-    report = report_for(FILLER, name="clean.txt", fmt=PLAIN)
+    report = analyze(FILLER, PLAIN, CFG, name="clean.txt")
     assert render_human(report) == "clean.txt: no findings\n"
 
 
 def test_human_malady_lines():
-    report = report_for(composite_text())
+    report = composite_report()
     out = render_human(report)
     assert re.search(
         r"^  FaultyRAP \(strength 3\): .+ \[evidence: .*S601.*\]$",
@@ -96,20 +79,20 @@ def test_human_malady_lines():
 
 
 def test_human_float_formatting():
-    report = report_for(composite_text())
+    report = composite_report()
     line = next(l for l in render_human(report).splitlines() if " S701 " in l)
     assert "(1.03333/1)" in line
 
 
 def test_human_rendering_is_deterministic():
-    report = report_for(composite_text())
+    report = composite_report()
     assert render_human(report) == render_human(report)
 
 
 # --- machine rendering ----------------------------------------------------------
 
 def test_machine_payload_shape():
-    report = report_for(composite_text())
+    report = composite_report()
     data = json.loads(render_machine(report))
     assert set(data) == {"document", "config", "diagnostics", "maladies"}
     assert set(data["config"]) == {
@@ -139,25 +122,25 @@ def test_machine_payload_shape():
 
 
 def test_machine_round_trip():
-    report = report_for(composite_text())
+    report = composite_report()
     assert parse_machine(render_machine(report)) == report
 
 
 def test_machine_severity_must_match_the_rule():
-    text = render_machine(report_for(STROSIS_UNLINKED, fmt=PLAIN))
+    text = render_machine(analyze(STROSIS_UNLINKED, PLAIN, CFG, name="doc.md"))
     with pytest.raises(ValueError, match="S201"):
         parse_machine(text.replace('"warning"', '"info"'))
 
 
 def test_machine_narrative_must_match_the_kind():
-    text = render_machine(report_for(composite_text()))
+    text = render_machine(composite_report())
     with pytest.raises(ValueError, match="FaultyRAP"):
         parse_machine(text.replace("Size, apparatus", "Size and apparatus"))
 
 
 @pytest.mark.parametrize("config", [{"bogus": 1}, {"max_pages": "3"}])
 def test_machine_config_must_be_analysis_config(config):
-    payload = json.loads(render_machine(report_for(FILLER, name="clean.txt", fmt=PLAIN)))
+    payload = json.loads(render_machine(analyze(FILLER, PLAIN, CFG, name="clean.txt")))
     payload["config"].update(config)
     with pytest.raises(ValueError, match="config"):
         parse_machine(json.dumps(payload))
@@ -181,7 +164,7 @@ def test_machine_config_must_be_analysis_config(config):
     (("maladies", 0, "evidence", 0, "column"), 0),
 ])
 def test_machine_line_of_a_wrong_shape_raises_value_error(path, value):
-    payload = json.loads(render_machine(report_for(composite_text())))
+    payload = json.loads(render_machine(composite_report()))
     if path:
         *parents, last = path
         target = payload
@@ -195,12 +178,12 @@ def test_machine_line_of_a_wrong_shape_raises_value_error(path, value):
 
 
 def test_machine_round_trip_empty():
-    report = report_for(FILLER, name="clean.txt", fmt=PLAIN)
+    report = analyze(FILLER, PLAIN, CFG, name="clean.txt")
     assert parse_machine(render_machine(report)) == report
 
 
 def test_machine_preserves_number_types():
-    report = report_for(composite_text())
+    report = composite_report()
     back = parse_machine(render_machine(report))
     by_rule = {d.rule_id: d for d in back.diagnostics}
     assert isinstance(by_rule["S601"].measured, int)
@@ -208,7 +191,7 @@ def test_machine_preserves_number_types():
 
 
 def test_machine_rendering_is_deterministic():
-    report = report_for(composite_text())
+    report = composite_report()
     assert render_machine(report) == render_machine(report)
 
 
@@ -265,6 +248,6 @@ def test_machine_rendering_equals_json_dumps_of_nested_dicts(report):
 # --- report assembly ----------------------------------------------------------
 
 def test_report_is_value_comparable():
-    a = report_for(STROSIS_UNLINKED, fmt=PLAIN)
-    b = report_for(STROSIS_UNLINKED, fmt=PLAIN)
+    a = analyze(STROSIS_UNLINKED, PLAIN, CFG, name="doc.md")
+    b = analyze(STROSIS_UNLINKED, PLAIN, CFG, name="doc.md")
     assert a == b and isinstance(a, Report)
