@@ -3,7 +3,6 @@ the maladies behind them."""
 
 __version__ = "0.1.0"
 
-from .cli import analyze
 from .config import AnalysisConfig, ConfigError, load_config, parse_config_text
 from .detectors import REGISTRY, RULE_IDS, RULES, Diagnostic, Rule, Severity, run_all
 from .document import (Document, DocumentStructureError, Footnote, Paragraph, Section, Sentence,
@@ -54,3 +53,10 @@ __all__ = [
     "stem",
     "tokenize",
 ]
+
+
+def __getattr__(name):  # cli loads on first use, so "python -m prose_clinic.cli" loads it once
+    if name != "analyze":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cli import analyze
+    return analyze

@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+from . import optionfile
 
 
 class ConfigError(ValueError):
@@ -57,10 +58,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, int | fl
     """Parse flat ``key = value`` lines; ``#`` starts a comment. Keys must be
     AnalysisConfig field names. Returns the overrides as a mapping."""
     overrides: dict[str, int | float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in optionfile.lines(text):
         where = f"{source}:{lineno}: "
         if "=" not in line:
             raise ConfigError(f"{where}expected key=value, got {line!r}")
@@ -79,21 +77,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, int | fl
 
 
 def load_config(path: str) -> AnalysisConfig:
-    """Read a config file and apply it over the defaults. The file is read
-    on every call, but a text is parsed only once: while the file's text is
-    unchanged, each call returns the same frozen config."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return _config_from_text(text, path)
+    """Read a config file and apply it over the defaults. An unchanged file
+    gives the same frozen config, parsed once."""
+    return optionfile.load(path, "config", ConfigError, _config_of)
 
 
-# A file read again with the same text gives the same config without a parse.
-# The key holds the path, which error messages name; an error is not cached.
-@lru_cache(maxsize=8)
-def _config_from_text(text: str, path: str) -> AnalysisConfig:
+def _config_of(text: str, path: str, _base) -> AnalysisConfig:
     return AnalysisConfig(**parse_config_text(text, source=path))

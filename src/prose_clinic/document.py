@@ -48,6 +48,7 @@ from itertools import accumulate, pairwise
 from operator import itemgetter, sub
 from typing import Iterator, NamedTuple
 
+from .config import AnalysisConfig
 from .lexicon import Lexicon, default_lexicon, stem
 
 WORD = "word"
@@ -66,8 +67,6 @@ WORD_CODE, NUMBER_CODE, PUNCTUATION_CODE, MARKER_CODE, COMMA_CODE, STOP_CODE = r
 PLAIN = "plain"
 MARKDOWN = "markdown"
 FORMATS = (PLAIN, MARKDOWN)
-
-DEFAULT_WORDS_PER_PAGE = 400
 
 
 class DocumentStructureError(ValueError):
@@ -418,7 +417,7 @@ class Document:
     lexicon: Lexicon = field(repr=False)
     # The flat token and structure arrays (see TokenStore).
     store: TokenStore = field(repr=False, compare=False)
-    words_per_page: int = DEFAULT_WORDS_PER_PAGE
+    words_per_page: int = AnalysisConfig.words_per_page
 
     @property
     def page_estimate(self) -> float:
@@ -500,7 +499,7 @@ def _paragraphs(store: TokenStore, start: int, end: int, lexicon: Lexicon,
 
 def parse_document(source: str, format: str = MARKDOWN, *,
                    lexicon: Lexicon | None = None,
-                   words_per_page: int = DEFAULT_WORDS_PER_PAGE) -> Document:
+                   words_per_page: int = AnalysisConfig.words_per_page) -> Document:
     """Parse a manuscript into sections, paragraphs, sentences, and footnotes.
 
     Raises DocumentStructureError for a footnote marker without a definition,

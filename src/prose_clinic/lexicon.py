@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from . import optionfile
+
 
 class LexiconError(ValueError):
     pass
@@ -198,15 +200,6 @@ def _strip_one_suffix(w: str) -> str:
 _EXTENSIBLE = tuple(f.name for f in fields(Lexicon) if f.type == "frozenset[str]")
 
 
-# The lexicons load_lexicon_extensions built last, by path, file text and the
-# base's id, each with its base: an unchanged file over the same base object
-# gives the same Lexicon, parsed once. The base is compared by identity, as it
-# may hold unhashable sets; an entry keeps its base alive, so no other object
-# takes over its id. An error is not cached.
-_EXTENDED_LIMIT = 8
-_extended: dict[tuple[str, str, int], tuple[Lexicon, Lexicon]] = {}
-
-
 def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
     """Extend a lexicon from a plain-text file.
 
@@ -214,38 +207,16 @@ def load_lexicon_extensions(path: str, base: Lexicon | None = None) -> Lexicon:
     Blank lines and ``#`` comments are ignored. Entries are lowercased.
     Valid class names are the Lexicon set fields (stopwords, coordinating,
     subordinating, conjunctive_adverbs, demonstratives, be_forms,
-    intensity_words, superlatives, abbreviations).
-
-    The file is read on every call, but a text is parsed only once: while
-    the file's text is unchanged, each call over the same base object
-    returns the same frozen Lexicon.
+    intensity_words, superlatives, abbreviations). An unchanged file over the
+    same base object gives the same frozen Lexicon, parsed once.
     """
-    lex = base or default_lexicon()
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: {exc}") from exc
-    key = (path, text, id(lex))
-    entry = _extended.get(key)
-    if entry is None:
-        extended = _extend(lex, text, path)
-        if len(_extended) >= _EXTENDED_LIMIT:
-            _extended.pop(next(iter(_extended)), None)
-        entry = _extended[key] = lex, extended
-    return entry[1]
+    return optionfile.load(path, "lexicon", LexiconError, _extend, base or default_lexicon())
 
 
-def _extend(lex: Lexicon, text: str, path: str) -> Lexicon:
+def _extend(text: str, path: str, lex: Lexicon) -> Lexicon:
     added: dict[str, set[str]] = {}
     current: str | None = None
-    # Text mode has turned every line end into "\n".
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in optionfile.lines(text):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in _EXTENSIBLE:

@@ -241,6 +241,18 @@ def test_out_of_range_config_value_errors(tmp_path, capsys):
     assert "max_sentence_words" in err and "got 0" in err and ":2:" in err
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_config_line_ends_only_at_a_line_end(tmp_path, capsys, brk):
+    # str.splitlines breaks a line at these characters too; a config file
+    # read in text mode does not, so the two settings are one line.
+    doc = write(tmp_path, "doc.txt", FILLER)
+    cfg = write(tmp_path, "c.cfg", f"max_sentence_words = 5{brk}max_pages = 3\n")
+    assert run(["analyze", "--config", cfg, doc]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"clinic: {cfg}:1: config key 'max_sentence_words' needs an integer")
+    assert out.out == ""
+
+
 def test_nonpositive_flag_errors(tmp_path, capsys):
     doc = write(tmp_path, "doc.txt", FILLER)
     assert run(["analyze", "--max-sentence-words", "-1", doc]) == 2
@@ -494,11 +506,12 @@ def test_bad_flag_value_exits_two(tmp_path):
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "doc.txt", STROSIS_UNLINKED + "\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "prose_clinic.cli", "analyze", path],
+        [sys.executable, "-W", "error", "-m", "prose_clinic.cli", "analyze", path],
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
     assert " S201 " in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_cli_imports_only_the_standard_library():

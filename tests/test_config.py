@@ -65,6 +65,13 @@ def test_parse_config_text_rejects_junk():
         parse_config_text("max_delay_words = twelve\n")
 
 
+def test_config_lines_end_at_lf_crlf_and_cr_alone():
+    assert parse_config_text("max_pages = 3\rkeyword_count = 4") == {
+        "max_pages": 3.0, "keyword_count": 4}
+    with pytest.raises(ConfigError, match="^<config>:3: unknown config key 'wordiness'$"):
+        parse_config_text("max_pages = 3\r\n\r\nwordiness = 1\n")
+
+
 def test_load_config_applies_over_base(tmp_path):
     path = tmp_path / "clinic.cfg"
     path.write_text("max_pages = 25\n", encoding="utf-8")

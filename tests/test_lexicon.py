@@ -259,6 +259,14 @@ def test_an_unchanged_extension_file_gives_the_same_object(tmp_path, lex):
     assert {"shiniest", "glossiest"} <= load_lexicon_extensions(str(ext), lex).superlatives
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_an_extension_line_ends_only_at_a_line_end(tmp_path, lex, brk):
+    ext = tmp_path / "extra.lex"
+    ext.write_text(f"[superlatives]\nshiniest{brk}greatest\n", encoding="utf-8")
+    added = load_lexicon_extensions(str(ext), lex).superlatives - lex.superlatives
+    assert added == {f"shiniest{brk}greatest"}
+
+
 def test_an_extension_file_extends_a_base_of_plain_sets(tmp_path, lex):
     # A base is told apart by identity: plain sets cannot be hashed.
     base = replace(lex, superlatives=set(lex.superlatives), stopwords=set(lex.stopwords))
